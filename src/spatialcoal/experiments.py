@@ -39,6 +39,7 @@ from .normalization import (
     grad_log_N_spectral,
     normalization_N,
     normalization_N_spectral,
+    pair_normalization_1d,
 )
 from .partitions import MergerSignature, Partition
 from .reversal import simulate_reversal
@@ -319,16 +320,16 @@ def stationary_pair_separation_cdf(table: RateTable, grid: int = 2048):
     """CDF of the absolute stationary pair separation in d = 1.
 
     The stationary pair density is proportional to the normalization as a
-    function of the displacement.
+    function of the displacement, which in d = 1 is the closed form of
+    ``pair_normalization_1d``, lam cosh(sqrt(lam) (r - 1/2)) /
+    (2 sqrt(lam) sinh(sqrt(lam) / 2)).  It is tabulated at the ``grid``
+    midpoints of [0, 1/2], summed, and interpolated linearly between the
+    cell edges; the exact CDF is
+    (sinh(sqrt(lam) (r - 1/2)) + sinh(sqrt(lam) / 2)) / sinh(sqrt(lam) / 2).
     """
     lam = table.rate(MergerSignature(2, (2,)))
     seps = (np.arange(grid) + 0.5) / (2.0 * grid)  # (0, 1/2)
-    dens = np.array(
-        [
-            quad_pair_reference(float(s), lam, 1)
-            for s in seps
-        ]
-    )
+    dens = pair_normalization_1d(seps, lam)
     cum = np.concatenate([[0.0], np.cumsum(dens)])
     cum /= cum[-1]
     edges = np.arange(grid + 1) / (2.0 * grid)

@@ -125,11 +125,6 @@ class DecoratedForest:
     tau: TimeDecoration
     xi: SpaceDecoration
 
-    def node_position(self, x_leaves: Mapping[Node, np.ndarray], u: Node) -> np.ndarray:
-        if u in x_leaves:
-            return x_leaves[u]
-        return self.xi[u]
-
 
 def enumerate_forests(
     p: Partition,

@@ -178,9 +178,17 @@ class RateTable:
         return self.rate(merger_signature(p, q))
 
     def total(self, n: int) -> float:
-        """Total jump rate while at n lineages."""
+        """Total jump rate while at n lineages.
+
+        Raises ``ValueError`` above ``n_max``, where the table holds no
+        rates: reading 0 there would make the configuration absorbing.
+        """
         if n < 2:
             return 0.0
+        if n > self.n_max:
+            raise ValueError(
+                f"rate table covers at most {self.n_max} lineages, not {n}"
+            )
         return sum(
             count_mergers(n, sig) * self.rates.get(sig, 0.0)
             for sig in signatures_for(n)

@@ -16,20 +16,8 @@ from typing import Mapping
 import numpy as np
 from scipy import integrate, signal
 
-from .forests import (
-    DecoratedForest,
-    Forest,
-    Node,
-    SpaceDecoration,
-    TimeDecoration,
-    enumerate_forests,
-)
-from .kernels import (
-    SpatialConfig,
-    torus_displacement,
-    torus_kernel,
-    wrap,
-)
+from .forests import Forest, Node, TimeDecoration, enumerate_forests
+from .kernels import SpatialConfig, wrap
 from .measures import RateTable, sample_nonspatial_path
 from .partitions import Partition
 
@@ -44,29 +32,6 @@ def freq_cutoff(t_min: float) -> int:
         raise ValueError("branch length must be positive")
     k = int(math.ceil(4.0 / math.sqrt(2.0 * math.pi**2 * t_min)))
     return max(MIN_FREQ_CUTOFF, min(MAX_FREQ_CUTOFF, k))
-
-
-def fsp_density(
-    f: Forest,
-    tau: TimeDecoration,
-    xi: SpaceDecoration,
-    x: SpatialConfig,
-) -> float:
-    """Product of heat-kernel branch factors of a fully decorated forest."""
-    if f.levels[0] != x.partition:
-        raise ValueError("leaf partition does not match the spatial configuration")
-    if f.is_trivial:
-        return 1.0
-    roots = set(f.roots)
-    out = 1.0
-    for u in f.nodes:
-        if u in roots:
-            continue
-        v = f.parent(u)
-        dt = tau.birth_time(f, v) - tau.birth_time(f, u)
-        pos_u = x.positions[u] if u in x.positions else xi[u]
-        out *= torus_kernel(dt, torus_displacement(pos_u, xi[v]))
-    return out
 
 
 # -- Fourier contraction -----------------------------------------------------
@@ -280,22 +245,6 @@ def spatial_integral_g_with_grad(
     return g, grads
 
 
-def mu_coefficients(
-    f: Forest,
-    tau: TimeDecoration,
-    x: SpatialConfig,
-    free_leaf: Node,
-    cutoff: int | None = None,
-) -> np.ndarray:
-    """Fourier coefficients (per coordinate) of the tree integral as a
-    function of one free leaf's position; d = 1 only."""
-    if x.d != 1:
-        raise ValueError("coefficient extraction is one-dimensional")
-    K = _tree_cutoff(f, tau, cutoff)
-    pos_c = {u: float(p[0]) for u, p in x.positions.items() if u != free_leaf}
-    return _contract_coord(f, tau, pos_c, K, free_leaf=free_leaf)
-
-
 # -- Normalization -----------------------------------------------------------
 
 
@@ -476,25 +425,35 @@ def grad_log_N(
     }
 
 
-def transition_density_no_merge(
-    x: SpatialConfig,
-    y: SpatialConfig,
-    s: float,
-    table: RateTable,
-    **kwargs,
-) -> float:
-    """Density of moving from x to y in time s with no merge event."""
-    if x.partition != y.partition:
-        raise ValueError("configurations must share the same partition")
-    if s <= 0:
-        raise ValueError("s must be positive")
-    lam = table.total(len(x.partition))
-    nx = normalization_N(x, table, **kwargs).value
-    ny = normalization_N(y, table, **kwargs).value
-    out = math.exp(-lam * s) * ny / nx
-    for u in x.partition.blocks:
-        out *= torus_kernel(s, torus_displacement(x.positions[u], y.positions[u]))
-    return out
+# -- Closed-form pair law (d = 1) -------------------------------------------
+
+
+def pair_normalization_1d(delta, lam: float) -> np.ndarray:
+    """Normalization of a pair on the circle at displacement ``delta``.
+
+    A pair merges at rate ``lam`` and its displacement diffuses with twice
+    the one-lineage variance, so
+
+        N(delta) = int_0^inf lam e^{-lam t} p_{2t}(delta) dt
+                 = sum_k lam / (lam + 4 pi^2 k^2) e^{2 pi i k delta},
+
+    the Green's function of lam - d^2/dx^2 on the unit circle, times lam.
+    Summed, this is the d = 1 Wright-Malecot formula of the paper,
+
+        N(delta) = lam cosh(sqrt(lam) (|delta| - 1/2))
+                   / (2 sqrt(lam) sinh(sqrt(lam) / 2)),
+
+    with |delta| the torus distance.  It is evaluated as
+    sqrt(lam) (e^{-a r} + e^{-a (1 - r)}) / (2 (1 - e^{-a})), a = sqrt(lam),
+    r = |delta|, which does not overflow for large ``lam``.  Vectorized over
+    ``delta``; N has unit mass over the circle.
+    """
+    if not lam > 0:
+        raise ValueError("the pair merge rate must be positive")
+    a = math.sqrt(lam)
+    d = np.asarray(delta, dtype=float)
+    r = np.abs(d - np.round(d))
+    return a * (np.exp(-a * r) + np.exp(-a * (1.0 - r))) / (-2.0 * math.expm1(-a))
 
 
 # -- Spectral route ----------------------------------------------------------
@@ -511,6 +470,10 @@ def transition_density_no_merge(
 # frequency box, which decays like 1/cutoff.
 
 SPECTRAL_CUTOFF = 64
+# Element budget of one spectral frequency box of (2 cutoff + 1)^axes
+# elements.  One float array of 2**24 elements is 128 MiB, and a forest's sum
+# builds several arrays of the box's shape at once.
+SPECTRAL_MAX_ELEMENTS = 2**24
 
 
 def _spectral_layout(f: Forest, free_leaf: Node | None):
@@ -560,6 +523,13 @@ def _spectral_sum(
 
     leaves, free_axes, dependent = _spectral_layout(f, free_leaf)
     naxes = d * len(free_axes) + (1 if free_leaf is not None else 0)
+    elements = (2 * cutoff + 1) ** naxes
+    if elements > SPECTRAL_MAX_ELEMENTS:
+        raise ValueError(
+            f"spectral sum needs a frequency box of {elements:.3g} elements "
+            f"({2 * cutoff + 1}^{naxes}), over the budget of "
+            f"{SPECTRAL_MAX_ELEMENTS} elements; lower the cutoff"
+        )
     kvals = np.arange(-cutoff, cutoff + 1)
 
     def axis_arr(a: int) -> np.ndarray:
@@ -668,7 +638,6 @@ def grad_log_N_spectral(
 # -- The resampling measure --------------------------------------------------
 
 MU_GRID = 4096
-_NEW_LABEL_SENTINEL = None
 
 
 def extended_config(x: SpatialConfig, y: np.ndarray) -> tuple[SpatialConfig, Node]:

@@ -29,7 +29,7 @@ from .kernels import (
     torus_displacement,
     wrap,
 )
-from .measures import RateTable, ftm_density, sample_nonspatial_path
+from .measures import RateTable, sample_nonspatial_path
 from .normalization import (
     SPECTRAL_CUTOFF,
     _spectral_sum,

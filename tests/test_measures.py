@@ -124,6 +124,8 @@ def test_total_rate_kingman():
         assert table.total(n) == pytest.approx(n * (n - 1) / 2.0)
     assert table.total(1) == 0.0
     assert table.is_absorbing(Partition([{1, 2, 3}]))
+    with pytest.raises(ValueError):
+        table.total(9)
 
 
 def test_nonspatial_path_holding_times():

@@ -2,26 +2,30 @@
 resampling density."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from spatialcoal.experiments import quad_pair_reference, stationary_pair_separation_cdf
 from spatialcoal.forests import Forest, TimeDecoration
 from spatialcoal.kernels import SpatialConfig, torus_kernel
-from spatialcoal.measures import LambdaMeasure, build_rate_table
+from spatialcoal.measures import LambdaMeasure, RateTable, build_rate_table
 from spatialcoal.normalization import (
+    SPECTRAL_MAX_ELEMENTS,
     extended_config,
     freq_cutoff,
     grad_log_N_spectral,
     mu_density_grid,
     normalization_N,
     normalization_N_spectral,
+    pair_normalization_1d,
     spatial_integral_g,
     spatial_integral_g_batch,
     spatial_integral_g_with_grad,
 )
-from spatialcoal.partitions import Partition
+from spatialcoal.partitions import MergerSignature, Partition
 
 KINGMAN2 = build_rate_table(LambdaMeasure.kingman(), 2)
 KINGMAN3 = build_rate_table(LambdaMeasure.kingman(), 3)
@@ -137,6 +141,64 @@ def test_pair_normalization_closed_form():
     assert got == pytest.approx(ref, rel=1e-7)
     # at the default cutoff only the spectral tail is lost
     assert normalization_N_spectral(x, KINGMAN2) == pytest.approx(ref, rel=1e-4)
+
+
+def pair_table(lam):
+    return RateTable({MergerSignature(2, (2,)): lam}, n_max=2)
+
+
+@pytest.mark.parametrize("lam", [1.0, 3.0])
+def test_pair_normalization_1d_matches_quadrature(lam):
+    deltas = [0.01, 0.1, 0.27, 0.5]
+    got = pair_normalization_1d(deltas, lam)
+    for delta, value in zip(deltas, got):
+        ref = quad_pair_reference(delta, lam, 1)
+        assert abs(value - ref) <= 1e-10 * ref
+
+
+@pytest.mark.parametrize("lam", [1.0, 3.0])
+def test_pair_normalization_1d_unit_mass_and_symmetry(lam):
+    mass, _ = integrate.quad(lambda y: float(pair_normalization_1d(y, lam)), 0.0, 1.0)
+    assert mass == pytest.approx(1.0, abs=1e-12)
+    deltas = np.linspace(0.0, 1.0, 41)
+    np.testing.assert_allclose(
+        pair_normalization_1d(deltas, lam),
+        pair_normalization_1d(1.0 - deltas, lam),
+        rtol=1e-13,
+    )
+    # delta is a torus displacement: whole periods and sign do not matter
+    np.testing.assert_allclose(
+        pair_normalization_1d(deltas, lam),
+        pair_normalization_1d(-deltas - 2.0, lam),
+        rtol=1e-13,
+    )
+
+
+@pytest.mark.parametrize("lam", [1.0, 3.0])
+def test_stationary_pair_separation_cdf_is_second_order(lam):
+    # midpoint sums plus linear interpolation of the closed-form density:
+    # the error is at most h^2/8 max|F''| + h^2/24 max|F'''|, h = 1/(2 grid)
+    a = math.sqrt(lam)
+    r = np.linspace(0.0, 0.5, 1002)
+    exact = (np.sinh(a * (r - 0.5)) + np.sinh(a / 2)) / np.sinh(a / 2)
+    errs = {}
+    for grid in (128, 256):
+        cdf = stationary_pair_separation_cdf(pair_table(lam), grid=grid)
+        errs[grid] = np.abs(cdf(r) - exact).max()
+    h = 1.0 / 256
+    assert errs[128] <= h * h * (a * a / 8 + a**3 / math.tanh(a / 2) / 24)
+    assert errs[256] < errs[128] / 3
+
+
+def test_spectral_sum_over_budget_fails_fast():
+    # n = 3, d = 2 at cutoff 64 would need 129^4 ~ 2.8e8 elements (2 GiB
+    # per array); the cost guard rejects it before allocating anything
+    x = SpatialConfig.from_points([[0.1, 0.2], [0.4, 0.5], [0.7, 0.9]])
+    assert 129**4 > SPECTRAL_MAX_ELEMENTS >= 49**4
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="elements"):
+        normalization_N_spectral(x, KINGMAN3, cutoff=64)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_triple_normalization_quadrature_vs_spectral():

@@ -166,6 +166,14 @@ def test_sde_sample_merges_and_validates():
         )
 
 
+def test_exact_sampler_rejects_table_too_small():
+    # a table built for pairs holds no three-lineage rates; reading them as
+    # zero would make three points absorbing and draw the trivial forest
+    x = SpatialConfig.from_points([[0.1], [0.4], [0.7]])
+    with pytest.raises(ValueError, match="at most 2 lineages"):
+        ExactCoalescentSampler(x, KINGMAN2)
+
+
 def test_sampler_determinism():
     x = SpatialConfig.from_points([[0.15], [0.6], [0.85]])
     a = ExactCoalescentSampler(x, KINGMAN3).sample(np.random.default_rng(42))
