@@ -19,7 +19,7 @@ from .measures import (
     lambda_rate,
     xi_rate,
 )
-from .normalization import grad_log_N, normalization_N, sample_mu
+from .normalization import normalization_N, sample_mu
 from .partitions import MergerSignature, Partition, count_mergers
 from .reversal import resample_levels, simulate_reversal
 from .sampler import ExactCoalescentSampler, sample_decorated_forest, sde_sample

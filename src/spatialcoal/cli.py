@@ -82,7 +82,12 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--replicates", type=int, default=100)
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--method", default="auto", help="method knob")
+
+
+METHOD_HELP = {
+    "normalization": "auto (spectral) | quadrature | monte-carlo",
+    "sample-coalescent": "auto (exact) | sir",
+}
 
 
 def cmd_rates(args) -> int:
@@ -289,7 +294,6 @@ def cmd_check(args) -> int:
         horizon=cfg.get("horizon", 2.0),
         replicates=args.replicates,
         seed=args.seed,
-        method=args.method,
         out=_out_dir(args),
     )
     report = run_experiment(spec)
@@ -320,6 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         _common(p)
         p.set_defaults(fn=fn)
+        if name in METHOD_HELP:
+            p.add_argument("--method", default="auto", help=METHOD_HELP[name])
     p = sub.add_parser("check")
     p.add_argument("experiment", choices=EXPERIMENT_NAMES)
     _common(p)

@@ -82,7 +82,6 @@ class ExperimentSpec:
     horizon: float = 2.0
     replicates: int = 1000
     seed: int = 0
-    method: str = "auto"
     out: str | Path | None = None
 
     def __post_init__(self):
@@ -251,8 +250,15 @@ def _run_consistency(spec: ExperimentSpec) -> TestReport:
 
 
 def quad_pair_reference(delta: float, lam: float, d: int) -> float:
-    def integrand(t):
-        out = lam * math.exp(-lam * t)
+    """N of a pair at displacement (delta, 0, ...) by one time quadrature.
+
+    The heat-kernel factor has a 1/sqrt(t) spike near t = 0 at small
+    delta, so the integral is taken in u with t = u^2, dt = 2u du.
+    """
+
+    def integrand(u):
+        t = u * u
+        out = 2.0 * u * lam * math.exp(-lam * t)
         for c in range(d):
             sep = delta if c == 0 else 0.0
             out *= float(_kernel_1d(2.0 * t, np.atleast_1d(sep), AUTO)[0])

@@ -115,6 +115,7 @@ def gaussian_product_collapse(xs, ss) -> tuple[float, np.ndarray]:
     Returns (s, xbar) with 1/s = sum 1/s_i and xbar the precision-weighted
     mean, so that prod_i p_{s_i}(x_i - z) equals
     p_s(z - xbar)/p_s(0) * prod_i p_{s_i}(x_i - xbar) identically in z.
+    The x_i may carry leading axes of parallel cases, which broadcast.
     """
     xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xs]
     ss = [float(s) for s in ss]
@@ -123,9 +124,8 @@ def gaussian_product_collapse(xs, ss) -> tuple[float, np.ndarray]:
     if any(s <= 0 for s in ss):
         raise ValueError("all s_i must be positive")
     inv = sum(1.0 / s for s in ss)
-    s = 1.0 / inv
-    xbar = sum((s / si) * x for x, si in zip(xs, ss))
-    return s, xbar
+    xbar = sum(x / (si * inv) for x, si in zip(xs, ss))
+    return 1.0 / inv, xbar
 
 
 def tree_collapse(
@@ -151,23 +151,31 @@ def tree_collapse(
 
 def euclidean_tree_integral(
     f: Forest, tau: TimeDecoration, leafpos: Mapping[Node, np.ndarray]
-) -> float:
+) -> float | np.ndarray:
     """Closed-form integral of the Gaussian branch-factor product over all
-    internal locations in Euclidean space."""
+    internal locations in Euclidean space.
+
+    Leaf positions have their coordinates on the last axis.  Leading axes
+    hold parallel cases; they broadcast across leaves, and one value is
+    returned per case.
+    """
     if f.is_trivial:
         raise ValueError("forest has no internal nodes")
     for i in range(1, f.m + 1):
         if tau.level_time(i) <= tau.level_time(i - 1):
             raise ValueError("non-positive branch length")
     r, xbar = tree_collapse(f, tau, leafpos)
-    out = 1.0
+    d = xbar[f.leaves[0]].shape[-1]
+    w = 1.0
     for v in f.internal_nodes:
         tv = tau.birth_time(f, v)
-        out /= gauss_kernel(r[v], np.zeros_like(xbar[v]))
+        w = w * math.sqrt(2.0 * math.pi * r[v]) ** d
         for u in f.children(v):
             su = r[u] + tv - tau.birth_time(f, u)
-            out *= gauss_kernel(su, xbar[v] - xbar[u])
-    return out
+            dz = xbar[v] - xbar[u]
+            w = w * np.exp(-(dz * dz).sum(-1) / (2.0 * su))
+            w = w / math.sqrt(2.0 * math.pi * su) ** d
+    return w if np.ndim(w) else float(w)
 
 
 def _offset_range(T: float, cutoff: int | None) -> np.ndarray:

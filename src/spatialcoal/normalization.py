@@ -1,17 +1,20 @@
 """The spatial density along a decorated forest, its torus integral, and the
 normalization function that drives sampling, drift and resampling.
 
-The torus integral over internal merge locations is computed per coordinate
-by a Fourier contraction along the tree: every branch carries a frequency,
-integrating an internal node's location forces the frequencies of incident
-branches to balance, and leaves contribute phases.
+The torus integral g(F, tau, x) over internal merge locations has one
+implementation, ``_contract``: per coordinate, a Fourier contraction along
+the tree over a batch of level-time vectors.  Every branch carries a
+frequency, integrating an internal node's location forces the frequencies
+of incident branches to balance, and leaves contribute phases.  The
+quadrature and Monte Carlo routes of N(x), the sampler's gap tables and its
+SIR weights all call it.  The spectral route integrates the level times in
+closed form instead, and the d = 1 pair law has its own closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 from scipy import integrate, signal
@@ -37,106 +40,80 @@ def freq_cutoff(t_min: float) -> int:
 # -- Fourier contraction -----------------------------------------------------
 
 
-def _freq_weights(t: float, K: int) -> np.ndarray:
-    k = np.arange(-K, K + 1)
-    return np.exp(-2.0 * math.pi**2 * k**2 * t)
-
-
-def _center(conv: np.ndarray, K: int) -> np.ndarray:
-    return conv[K : 3 * K + 1]
-
-
-def _convolve_msgs(msgs: list, K: int):
-    """Convolve child messages along the branch-frequency axis.
-
-    At most one message may be a matrix (carrying the free leaf's frequency
-    on its second axis); all others are vectors.
-    """
-    vecs = [m for m in msgs if m.ndim == 1]
-    mats = [m for m in msgs if m.ndim == 2]
-    acc = None
-    for v in vecs:
-        acc = v if acc is None else _center(np.convolve(acc, v), K)
-    if not mats:
-        return acc
-    (mat,) = mats
-    if acc is not None:
-        mat = _center(signal.fftconvolve(mat, acc[:, None], axes=0), K)
-    return mat
-
-
-def _contract_coord(
+def _contract(
     f: Forest,
-    tau: TimeDecoration,
-    pos_c: Mapping[Node, float],
-    K: int,
-    grad_leaf: Node | None = None,
-    free_leaf: Node | None = None,
-    intout_leaf: Node | None = None,
-):
-    """Contract one coordinate of the tree integral.
+    taus: np.ndarray,
+    x: SpatialConfig,
+    K: int | None,
+    integrate_out: Node | None = None,
+) -> np.ndarray:
+    """The torus tree integral at a batch of level-time vectors, one per row.
 
-    Returns a complex scalar, or (if ``free_leaf`` is given) the complex
-    Fourier coefficients C with g(y) = sum_k C[k] exp(-2 pi i k y) as a
-    function of the free leaf's coordinate.  ``intout_leaf`` marks a leaf
-    whose coordinate is integrated over the whole circle instead.
+    Per coordinate, a leaves-to-root pass carries one frequency vector per
+    branch: a leaf contributes its phase exp(-2 pi i k y), the leaf
+    ``integrate_out`` a unit mass at k = 0 (its position integrated over
+    the circle), and an internal node the convolution of its children's.
+    A single row is convolved directly, a batch by FFT.  Without ``K``, one
+    cutoff is chosen from the smallest level gap in the batch.
     """
+    if f.is_trivial:
+        raise ValueError("forest has no internal nodes")
+    taus = np.atleast_2d(np.asarray(taus, dtype=float))
+    if taus.shape[1] != f.m:
+        raise ValueError("level-time batch does not match the forest")
+    T = taus.shape[0]
+    times = np.zeros((T, f.m + 1))  # column i: level time i
+    times[:, 1:] = taus
+    if K is None:
+        K = freq_cutoff(float((times[:, 1:] - times[:, :-1]).min()))
     ks = np.arange(-K, K + 1)
+    decay = -2.0 * math.pi**2 * ks**2
+    # the children of every internal node with their branch lengths, in
+    # birth order, so that children come before their parents
+    birth: dict[Node, np.ndarray] = {}
+    kids: dict[Node, list[tuple[Node, np.ndarray]]] = {}
+    for i, level in enumerate(f.levels):
+        for v in level.blocks:
+            if v in birth:
+                continue
+            birth[v] = times[:, i]
+            if i:
+                kids[v] = [
+                    (u, (birth[v] - birth[u])[:, None])
+                    for u in f.levels[i - 1].blocks
+                    if u <= v
+                ]
+    leaves = [u for u in f.leaves if u != integrate_out]
+    pos = np.array([x.positions[u] for u in leaves])
+    phases = np.exp(-2j * math.pi * ks * pos[:, :, None])  # (leaf, coordinate, k)
+    unit = np.zeros(2 * K + 1)
+    unit[K] = 1.0
 
-    def message(u: Node, parent_birth: float):
-        t_branch = parent_birth - tau.birth_time(f, u)
-        w = _freq_weights(t_branch, K)
-        if u in pos_c or u == free_leaf or u == intout_leaf:  # leaf
-            if u == free_leaf:
-                base = np.eye(2 * K + 1, dtype=complex)
-            elif u == intout_leaf:
-                base = np.zeros(2 * K + 1)
-                base[K] = 1.0
-            else:
-                base = np.exp(-2j * math.pi * ks * pos_c[u])
-                if u == grad_leaf:
-                    base = base * (-2j * math.pi * ks)
-            return w[:, None] * base if base.ndim == 2 else w * base
-        inner = _convolve_msgs(
-            [message(c, tau.birth_time(f, u)) for c in f.children(u)], K
-        )
-        return w[:, None] * inner if inner.ndim == 2 else w * inner
+    def conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # for one row of 2K+1 values, FFT set-up costs more than it saves;
+        # a quadrature of N(x) makes about 1e5 such one-row calls
+        if T == 1:
+            return np.convolve(a[0], b[0])[None, K : 3 * K + 1]
+        return signal.fftconvolve(a, b, axes=1)[:, K : 3 * K + 1]
 
-    scalar = complex(1.0)
-    coeff = None
-    for root in f.roots:
-        if root in pos_c or root == intout_leaf:
-            # an isolated leaf contributes no factor (unit mass if integrated)
-            if root == grad_leaf:
-                return complex(0.0)
-            continue
-        if root == free_leaf:
-            c = np.zeros(2 * K + 1, dtype=complex)
-            c[K] = 1.0
-            coeff = c
-            continue
-        b = _convolve_msgs([message(c, tau.birth_time(f, root)) for c in f.children(root)], K)
-        if b.ndim == 2:
-            coeff = b[K, :]
-        else:
-            scalar *= b[K]
-    if free_leaf is not None:
-        return coeff * scalar
-    return scalar
-
-
-def _leaf_coords(x: SpatialConfig, exclude: Node | None = None) -> list[dict[Node, float]]:
-    return [
-        {u: float(p[c]) for u, p in x.positions.items() if u != exclude}
-        for c in range(x.d)
-    ]
-
-
-def _tree_cutoff(f: Forest, tau: TimeDecoration, K: int | None) -> int:
-    if K is not None:
-        return K
-    gaps = [tau.level_time(i) - tau.level_time(i - 1) for i in range(1, f.m + 1)]
-    return freq_cutoff(min(gaps))
+    out = 1.0
+    for c in range(x.d):
+        # the frequency vector entering each node from below
+        up = {u: phases[j, c] for j, u in enumerate(leaves)}
+        if integrate_out is not None:
+            up[integrate_out] = unit
+        for v, branches in kids.items():
+            acc = None
+            for u, length in branches:
+                m = np.exp(length * decay) * up.pop(u)
+                acc = m if acc is None else conv(acc, m)
+            up[v] = acc
+        vals = 1.0
+        for root in f.roots:
+            if root in kids:  # an isolated leaf has unit mass
+                vals = vals * up[root][:, K]
+        out = out * vals.real
+    return out
 
 
 def spatial_integral_g(
@@ -151,13 +128,7 @@ def spatial_integral_g(
     With ``integrate_out`` set, that leaf's position is integrated over the
     torus as well, giving the marginal with one leaf removed from view.
     """
-    if f.is_trivial:
-        raise ValueError("forest has no internal nodes")
-    K = _tree_cutoff(f, tau, cutoff)
-    out = 1.0
-    for pos_c in _leaf_coords(x, exclude=integrate_out):
-        out *= _contract_coord(f, tau, pos_c, K, intout_leaf=integrate_out).real
-    return out
+    return float(_contract(f, np.array([tau.times]), x, cutoff, integrate_out)[0])
 
 
 def spatial_integral_g_batch(
@@ -171,78 +142,7 @@ def spatial_integral_g_batch(
     ``taus`` has shape (T, m); one value per row is returned.  A single
     frequency cutoff is chosen from the smallest level gap in the batch.
     """
-    if f.is_trivial:
-        raise ValueError("forest has no internal nodes")
-    taus = np.atleast_2d(np.asarray(taus, dtype=float))
-    if taus.shape[1] != f.m:
-        raise ValueError("level-time batch does not match the forest")
-    if cutoff is None:
-        padded = np.hstack([np.zeros((taus.shape[0], 1)), taus])
-        cutoff = freq_cutoff(float(np.diff(padded, axis=1).min()))
-    K = cutoff
-    ks = np.arange(-K, K + 1)
-    decay = -2.0 * math.pi**2 * ks**2
-    T = taus.shape[0]
-
-    def birth(u: Node) -> np.ndarray:
-        lvl = f.birth_level(u)
-        return np.zeros(T) if lvl == 0 else taus[:, lvl - 1]
-
-    def conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return signal.fftconvolve(a, b, axes=1)[:, K : 3 * K + 1]
-
-    out = np.ones(T)
-    for c in range(x.d):
-        phases = {
-            u: np.exp(-2j * math.pi * ks * float(p[c]))
-            for u, p in x.positions.items()
-        }
-
-        def msg(u: Node, parent_birth: np.ndarray):
-            w = np.exp((parent_birth - birth(u))[:, None] * decay)
-            if u in phases:
-                return w * phases[u][None, :]
-            inner = None
-            for ch in f.children(u):
-                m = msg(ch, birth(u))
-                inner = m if inner is None else conv(inner, m)
-            return w * inner
-
-        vals = np.ones(T, dtype=complex)
-        for root in f.roots:
-            if root in phases:
-                continue
-            b = None
-            for ch in f.children(root):
-                m = msg(ch, birth(root))
-                b = m if b is None else conv(b, m)
-            vals *= b[:, K]
-        out *= vals.real
-    return out
-
-
-def spatial_integral_g_with_grad(
-    f: Forest,
-    tau: TimeDecoration,
-    x: SpatialConfig,
-    cutoff: int | None = None,
-) -> tuple[float, dict[Node, np.ndarray]]:
-    """The torus tree integral together with its gradient in every leaf position."""
-    K = _tree_cutoff(f, tau, cutoff)
-    coords = _leaf_coords(x)
-    vals = np.array([
-        _contract_coord(f, tau, pos_c, K).real for pos_c in coords
-    ])
-    g = float(np.prod(vals))
-    grads: dict[Node, np.ndarray] = {}
-    for u in x.partition.blocks:
-        gu = np.empty(x.d)
-        for c, pos_c in enumerate(coords):
-            dv = _contract_coord(f, tau, pos_c, K, grad_leaf=u).real
-            rest = np.prod(np.delete(vals, c))
-            gu[c] = dv * rest
-        grads[u] = gu
-    return g, grads
+    return _contract(f, taus, x, cutoff)
 
 
 # -- Normalization -----------------------------------------------------------
@@ -373,58 +273,6 @@ def normalization_N(
     )
 
 
-def grad_log_N(
-    x: SpatialConfig,
-    table: RateTable,
-    mc_samples: int = 20000,
-    rng: np.random.Generator | None = None,
-    cutoff: int | None = None,
-) -> dict[Node, np.ndarray]:
-    """Gradient of log N in every lineage position.
-
-    Value and gradient share the same integration nodes, which keeps the
-    ratio estimator low-variance.
-    """
-    blocks = x.partition.blocks
-    n, d = len(blocks), x.d
-    forests = enumerate_forests(x.partition, table.is_absorbing)
-
-    def stacked(f, tau):
-        g, grads = spatial_integral_g_with_grad(f, tau, x, cutoff)
-        out = np.empty(1 + n * d)
-        out[0] = g
-        for i, u in enumerate(blocks):
-            out[1 + i * d : 1 + (i + 1) * d] = grads[u]
-        return out
-
-    acc = np.zeros(1 + n * d)
-    mc_forests = []
-    for f in forests:
-        if f.is_trivial:
-            acc[0] += 1.0
-        elif f.m <= 2:
-            val = _quad_forest(f, table, x, lambda tau, f=f: stacked(f, tau))
-            if val is not None:
-                acc += val
-        else:
-            mc_forests.append(f)
-    if mc_forests:
-        rng = rng if rng is not None else np.random.default_rng()
-        wanted = {f.levels: f for f in mc_forests}
-        mc_acc = np.zeros_like(acc)
-        for _ in range(mc_samples):
-            fs, tau = sample_nonspatial_path(table, x.partition, rng)
-            f = wanted.get(fs.levels)
-            if f is not None:
-                mc_acc += stacked(f, tau)
-        acc += mc_acc / mc_samples
-    if acc[0] <= 0:
-        raise ArithmeticError("normalization value vanished; cannot take log-gradient")
-    return {
-        u: acc[1 + i * d : 1 + (i + 1) * d] / acc[0] for i, u in enumerate(blocks)
-    }
-
-
 # -- Closed-form pair law (d = 1) -------------------------------------------
 
 
@@ -508,7 +356,7 @@ def _spectral_sum(
     """
     if f.is_trivial:
         raise ValueError("forest has no internal nodes")
-    rates = [table.transition_rate(f.levels[i], f.levels[i + 1]) for i in range(f.m)]
+    rates, lams = _forest_rates(table, f)
     if any(r <= 0 for r in rates):
         zero = np.zeros(2 * cutoff + 1, dtype=complex)
         if free_leaf is not None:
@@ -516,7 +364,6 @@ def _spectral_sum(
         if want_grads:
             return 0.0, {u: np.zeros(x.d) for u in f.leaves}
         return 0.0
-    lams = [table.total(len(f.levels[i])) for i in range(f.m)]
     d = x.d
     if free_leaf is not None and d != 1:
         raise ValueError("coefficient extraction is one-dimensional")

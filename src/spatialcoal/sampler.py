@@ -25,13 +25,16 @@ from .forests import (
 from .kernels import (
     SpatialConfig,
     _offset_range,
+    euclidean_tree_integral,
     torus_bridge_offset,
     torus_displacement,
+    tree_collapse,
     wrap,
 )
 from .measures import RateTable, sample_nonspatial_path
 from .normalization import (
     SPECTRAL_CUTOFF,
+    _forest_rates,
     _spectral_sum,
     spatial_integral_g,
     spatial_integral_g_batch,
@@ -93,40 +96,6 @@ class WeightedSample:
 # -- Exact merge-location sampling -------------------------------------------
 
 
-def _collapse_1d(f: Forest, tau: TimeDecoration, pos: dict):
-    """One-coordinate upward pass; positions may be arrays of parallel cases."""
-    r: dict[Node, float] = {}
-    xb: dict[Node, np.ndarray] = {}
-    for u in f.leaves:
-        r[u] = 0.0
-        xb[u] = np.asarray(pos[u], dtype=float)
-    for i in range(1, f.m + 1):
-        tv = tau.level_time(i)
-        for v in f.levels[i].blocks:
-            if v in r:
-                continue
-            ch = f.children(v)
-            ss = [r[u] + tv - tau.birth_time(f, u) for u in ch]
-            inv = sum(1.0 / s for s in ss)
-            r[v] = 1.0 / inv
-            xb[v] = sum(xb[u] / (s * inv) for u, s in zip(ch, ss))
-    return r, xb
-
-
-def _euclid_weight_1d(f: Forest, tau: TimeDecoration, pos: dict) -> np.ndarray:
-    """Vectorized one-coordinate Euclidean tree integral over parallel cases."""
-    r, xb = _collapse_1d(f, tau, pos)
-    w = 1.0
-    for v in f.internal_nodes:
-        tv = tau.birth_time(f, v)
-        w = w * math.sqrt(2.0 * math.pi * r[v])
-        for u in f.children(v):
-            su = r[u] + tv - tau.birth_time(f, u)
-            dz = xb[v] - xb[u]
-            w = w * np.exp(-dz * dz / (2.0 * su)) / math.sqrt(2.0 * math.pi * su)
-    return np.asarray(w)
-
-
 def sample_merge_locations(
     f: Forest,
     tau: TimeDecoration,
@@ -163,11 +132,12 @@ def sample_merge_locations(
     locs = {v: np.empty(x.d) for v in f.internal_nodes}
     for c in range(x.d):
         base = {u: float(x.positions[u][c]) for u in f.leaves}
+        # offset cases on the leading axis, the one coordinate on the last
         pos = {
-            u: base[u] + (combos[:, free.index(u)] if u in free else 0.0)
+            u: base[u] + (combos[:, [free.index(u)]] if u in free else 0.0)
             for u in f.leaves
         }
-        w = _euclid_weight_1d(f, tau, pos)
+        w = euclidean_tree_integral(f, tau, pos)
         total = w.sum()
         if not (total > 0):
             raise ArithmeticError("offset weights vanished; widen the offset range")
@@ -176,17 +146,17 @@ def sample_merge_locations(
             u: base[u] + (combos[pick, free.index(u)] if u in free else 0.0)
             for u in f.leaves
         }
-        r, xb = _collapse_1d(f, tau, shifted)
+        r, xb = tree_collapse(f, tau, shifted)
         zeta: dict[Node, float] = {}
         for v in internal_by_depth:
             if v in roots:
-                zeta[v] = rng.normal(float(xb[v]), math.sqrt(r[v]))
+                zeta[v] = rng.normal(xb[v][0], math.sqrt(r[v]))
             for u in f.children(v):
                 if u not in f.internal_nodes:
                     continue
                 ell = tau.birth_time(f, v) - tau.birth_time(f, u)
                 var = 1.0 / (1.0 / r[u] + 1.0 / ell)
-                mean = var * (float(xb[u]) / r[u] + zeta[v] / ell)
+                mean = var * (xb[u][0] / r[u] + zeta[v] / ell)
                 zeta[u] = rng.normal(mean, math.sqrt(var))
         for v in f.internal_nodes:
             locs[v][c] = zeta[v] % 1.0
@@ -231,14 +201,6 @@ class ExactCoalescentSampler:
         self.normalization = float(w.sum())
         self._tables: dict[Forest, tuple[np.ndarray, tuple[int, ...]]] = {}
 
-    def _rates(self, f: Forest):
-        rates = [
-            self.table.transition_rate(f.levels[i], f.levels[i + 1])
-            for i in range(f.m)
-        ]
-        lams = [self.table.total(len(f.levels[i])) for i in range(f.m)]
-        return rates, lams
-
     def _gap_table(self, f: Forest):
         if f in self._tables:
             return self._tables[f]
@@ -247,7 +209,7 @@ class ExactCoalescentSampler:
                 "inverse-CDF time tables cover at most two merge events; "
                 "use scheme 'sir' for deeper forests"
             )
-        _, lams = self._rates(f)
+        _, lams = _forest_rates(self.table, f)
         grid = self.time_grid if f.m == 1 else max(48, self.time_grid // 8)
         mids = (np.arange(grid) + 0.5) / grid
         shape = (grid,) * f.m
@@ -270,7 +232,7 @@ class ExactCoalescentSampler:
         flat = vals.reshape(-1)
         cell = rng.choice(flat.size, p=flat / flat.sum())
         idx = np.unravel_index(cell, shape)
-        _, lams = self._rates(f)
+        _, lams = _forest_rates(self.table, f)
         grid = shape[0]
         ss = []
         for j, lam in zip(idx, lams):

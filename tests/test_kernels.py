@@ -133,6 +133,17 @@ def test_euclidean_tree_integral_matches_quadrature():
 
     val, _ = integrate.dblquad(integrand, -6, 6, -6, 6, epsabs=1e-10)
     assert closed == pytest.approx(val, rel=1e-6)
+    # leading axes hold parallel cases: a batch of positions of leaf 3
+    leaf3 = frozenset({3})
+    shifts = np.array([[-1.0], [-0.2], [0.0], [0.45], [2.0]])
+    batch = euclidean_tree_integral(f, tau, {**leafpos, leaf3: leafpos[leaf3] + shifts})
+    single = [
+        euclidean_tree_integral(f, tau, {**leafpos, leaf3: leafpos[leaf3] + s})
+        for s in shifts
+    ]
+    assert batch.shape == (shifts.shape[0],)
+    assert single[2] == closed
+    np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0)
     with pytest.raises(ValueError):
         euclidean_tree_integral(
             Forest((Partition.singletons([1]),)), TimeDecoration(()), leafpos

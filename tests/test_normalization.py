@@ -14,6 +14,7 @@ from spatialcoal.kernels import SpatialConfig, torus_kernel
 from spatialcoal.measures import LambdaMeasure, RateTable, build_rate_table
 from spatialcoal.normalization import (
     SPECTRAL_MAX_ELEMENTS,
+    _contract,
     extended_config,
     freq_cutoff,
     grad_log_N_spectral,
@@ -23,7 +24,6 @@ from spatialcoal.normalization import (
     pair_normalization_1d,
     spatial_integral_g,
     spatial_integral_g_batch,
-    spatial_integral_g_with_grad,
 )
 from spatialcoal.partitions import MergerSignature, Partition
 
@@ -87,31 +87,48 @@ def test_batch_matches_pointwise():
 
 
 def test_grad_matches_finite_differences():
-    f = cherry_forest()
-    tau = TimeDecoration((0.2, 0.55))
+    # the spectral gradient of log N against central differences of log N
     base = [0.12, 0.41, 0.83]
     x = SpatialConfig.from_points([[p] for p in base])
-    g, grads = spatial_integral_g_with_grad(f, tau, x)
-    assert g == pytest.approx(spatial_integral_g(f, tau, x), rel=1e-12)
+    grads = grad_log_N_spectral(x, KINGMAN3)
+
+    def log_n(pts):
+        x = SpatialConfig.from_points(pts)
+        return math.log(normalization_N_spectral(x, KINGMAN3))
+
     h = 1e-6
-    for i, b in enumerate(Partition.singletons([1, 2, 3]).blocks):
+    for i, b in enumerate(x.partition.blocks):
         pts = [[p] for p in base]
         pts[i] = [base[i] + h]
-        up = spatial_integral_g(f, tau, SpatialConfig.from_points(pts))
+        up = log_n(pts)
         pts[i] = [base[i] - h]
-        dn = spatial_integral_g(f, tau, SpatialConfig.from_points(pts))
+        dn = log_n(pts)
         assert grads[b][0] == pytest.approx((up - dn) / (2 * h), rel=1e-5, abs=1e-8)
 
 
-def test_grads_sum_to_zero():
-    # the tree integral depends only on relative positions, so translating
-    # every leaf leaves it fixed and the gradients cancel
+def test_integrate_out_leaves_the_pair():
+    # in the cherry ((1,2) at t1, then 3 at t2), integrating leaf 3 over the
+    # torus gives unit mass to its branch and then to the root's branch to
+    # the (1,2) node, which leaves g = p_{2 t1}(x_1 - x_2)
     f = cherry_forest()
-    tau = TimeDecoration((0.3, 0.8))
-    x = SpatialConfig.from_points([[0.05, 0.9], [0.5, 0.3], [0.77, 0.66]])
-    _, grads = spatial_integral_g_with_grad(f, tau, x)
-    total = sum(grads.values())
-    assert np.max(np.abs(total)) < 1e-10
+    rng = np.random.default_rng(4)
+    t1 = rng.uniform(0.05, 0.5, size=12)
+    taus = np.column_stack([t1, t1 + rng.uniform(0.05, 0.5, size=12)])
+    for pts in ([[0.1], [0.35], [0.8]], [[0.1, 0.7], [0.35, 0.2], [0.8, 0.45]]):
+        x = SpatialConfig.from_points(pts)
+        third = x.partition.blocks[2]
+        want = np.array([torus_kernel(2 * t, np.subtract(pts[0], pts[1])) for t in t1])
+        point = np.array(
+            [
+                spatial_integral_g(f, TimeDecoration(tuple(row)), x, integrate_out=third)
+                for row in taus
+            ]
+        )
+        # spatial_integral_g_batch takes no integrate_out; it passes its rows
+        # to the same engine, called here directly on the whole batch
+        batch = _contract(f, taus, x, None, third)
+        np.testing.assert_allclose(point, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(batch, want, rtol=1e-12, atol=0)
 
 
 def test_single_lineage_normalization_is_one():
@@ -149,7 +166,7 @@ def pair_table(lam):
 
 @pytest.mark.parametrize("lam", [1.0, 3.0])
 def test_pair_normalization_1d_matches_quadrature(lam):
-    deltas = [0.01, 0.1, 0.27, 0.5]
+    deltas = [1e-4, 3e-4, 3.7e-4, 0.01, 0.1, 0.27, 0.5]
     got = pair_normalization_1d(deltas, lam)
     for delta, value in zip(deltas, got):
         ref = quad_pair_reference(delta, lam, 1)

@@ -174,3 +174,10 @@ def test_cli_check_deterministic_artifacts(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     for name in ("report.json", "samples.csv"):
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False)
+
+
+def test_cli_method_only_where_read(tmp_path):
+    # --method is an option of the commands that read it, not of check
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "duality", "--method", "x", "--out", str(tmp_path)])
+    assert exc.value.code == 2
