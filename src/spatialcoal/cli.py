@@ -22,7 +22,6 @@ from .measures import (
     XiMeasure,
     build_rate_table,
     check_consistency,
-    load_measure,
     measure_to_dict,
 )
 from .normalization import normalization_N, normalization_N_spectral
@@ -150,7 +149,7 @@ def cmd_sample_coalescent(args) -> int:
     out = _out_dir(args)
     events, samples = [], []
     if args.method == "sir":
-        forests, _, report = sir_sample(x, table, rng, batch=args.replicates)
+        forests, report = sir_sample(x, table, rng, batch=args.replicates)
         for i, df in enumerate(forests):
             for lvl, t in enumerate(df.tau.times, start=1):
                 events.append((i, t, len(df.forest.levels[lvl])))

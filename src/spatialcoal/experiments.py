@@ -51,7 +51,6 @@ from .sampler import (
     sample_paths,
 )
 from .stats import (
-    chi2_counts,
     energy_distance_test,
     fit_loglog_slope,
     ks_against_cdf,
@@ -134,15 +133,15 @@ class TestReport:
         }
 
 
-def _timed(name, threshold, fn, *, p_value_test=True, seed=None):
+def _timed(name, threshold, fn, *, seed=None):
     """Run a check; statistical checks retry once on a shifted seed."""
     t0 = time.perf_counter()
     stat, p, samples = fn(seed)
     retried = False
-    if p_value_test and p is not None and p < ALPHA and seed is not None:
+    if p is not None and p < ALPHA and seed is not None:
         stat, p, samples = fn(seed + RETRY_SEED_OFFSET)
         retried = True
-    passed = (p >= ALPHA) if (p_value_test and p is not None) else (stat <= threshold)
+    passed = (p >= ALPHA) if p is not None else (stat <= threshold)
     return (
         TestResult(
             name=name,
@@ -186,7 +185,7 @@ def _run_rates_recursion(spec: ExperimentSpec) -> TestReport:
                     samples["index"].append(f"{n},{k}")
                     samples["value"].append(lhs)
         else:
-            report = check_consistency(build_rate_table(m, n_max), tol=1e-10)
+            report = check_consistency(build_rate_table(m, n_max))
             worst = max(
                 abs(l - r) / max(1.0, abs(l)) for _, l, r, _ in report.checks
             )

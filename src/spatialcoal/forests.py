@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
@@ -11,7 +11,7 @@ from .partitions import Partition, enumerate_coarsenings
 
 Node = frozenset  # a node of a forest is a block appearing at some level
 
-DEFAULT_ENUMERATION_BOUND = 6
+ENUMERATION_BOUND = 6  # most leaves whose forests are enumerated
 
 
 @dataclass(frozen=True)
@@ -129,15 +129,16 @@ class DecoratedForest:
 def enumerate_forests(
     p: Partition,
     absorbing: Callable[[Partition], bool],
-    bound: int = DEFAULT_ENUMERATION_BOUND,
 ) -> list[Forest]:
     """All forests with leaf partition ``p`` whose root partition is absorbing.
 
     Absorbing intermediate levels never occur: the coalescent stops there.
-    The enumeration explodes combinatorially, hence the size bound.
+    The enumeration explodes combinatorially, hence ENUMERATION_BOUND.
     """
-    if len(p) > bound:
-        raise ValueError(f"partition has {len(p)} blocks, enumeration bound is {bound}")
+    if len(p) > ENUMERATION_BOUND:
+        raise ValueError(
+            f"partition has {len(p)} blocks, enumeration bound is {ENUMERATION_BOUND}"
+        )
 
     def rec(q: Partition) -> Iterator[tuple[Partition, ...]]:
         if absorbing(q):

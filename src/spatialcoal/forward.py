@@ -14,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import torus_displacement, wrap
 from .measures import LambdaMeasure, RateTable, XiMeasure
 from .partitions import MergerSignature, Partition, signatures_for
 from .sampler import CoalescentPath
@@ -414,10 +413,6 @@ class ExtractedGenealogy:
     coalescent: CoalescentPath
     fully_coalesced: bool
 
-    @property
-    def first_merge_time(self) -> float | None:
-        return self.coalescent.events[0][0] if self.coalescent.events else None
-
     def first_merge_signature(self) -> MergerSignature | None:
         if not self.coalescent.events:
             return None
@@ -427,22 +422,17 @@ class ExtractedGenealogy:
         return merger_signature(before, self.coalescent.events[0][1])
 
 
-def trace_ancestry(
-    times: np.ndarray,
-    groups: list,
-    n: int,
-    until_blocks: int = 1,
-):
+def trace_ancestry(times: np.ndarray, groups: list, n: int):
     """Backward walk through an event log starting from levels 1..n at time 0.
 
-    Yields (backward_time, merge map old block -> new ancestor level) events;
-    returns the full merge history as a list of
+    Stops once the sample has one ancestor.  Returns the remaining blocks
+    (block -> ancestor level) and the merge history as a list of
     (backward time, event index, partition after, block -> level map).
     """
     blocks = {frozenset({i}): i for i in range(1, n + 1)}
     history = []
     for idx in range(len(times) - 1, -1, -1):
-        if len(blocks) <= until_blocks:
+        if len(blocks) <= 1:
             break
         bt = -float(times[idx])
         for g in groups[idx]:
@@ -511,6 +501,8 @@ def extract_genealogy(run: ForwardRun, n: int) -> ExtractedGenealogy:
 
 # -- Long-run harvesting (stationary replicates from one warm run) -----------
 
+HARVEST_BUFFER_SPAN = 40.0  # model time of event history kept behind the present
+
 
 class ForwardHarvester:
     """Weakly dependent stationary replicates from a single long forward run.
@@ -528,14 +520,12 @@ class ForwardHarvester:
         draw_groups,
         rng: np.random.Generator,
         warmup: float,
-        buffer_span: float = 40.0,
     ):
         self.n_levels = n_levels
         self.d = d
         self.event_rate = event_rate
         self.draw_groups = draw_groups
         self.rng = rng
-        self.buffer_span = buffer_span
         self.t = 0.0
         self.positions = rng.uniform(size=(n_levels, d))
         self.ev_times: list[float] = []
@@ -567,7 +557,7 @@ class ForwardHarvester:
         np.mod(self.positions, 1.0, out=self.positions)
         self.t = t_end
         cut = 0
-        while self.ev_times and self.ev_times[cut] < t_end - self.buffer_span:
+        while self.ev_times and self.ev_times[cut] < t_end - HARVEST_BUFFER_SPAN:
             cut += 1
         if cut:
             del self.ev_times[:cut]

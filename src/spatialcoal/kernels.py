@@ -92,12 +92,12 @@ def torus_kernel(t: float, x: np.ndarray, method: KernelMethod = AUTO) -> float:
     return float(np.prod(_kernel_1d(t, x, method)))
 
 
-def torus_kernel_grad_log(t: float, x: np.ndarray, method: KernelMethod = AUTO) -> np.ndarray:
+def torus_kernel_grad_log(t: float, x: np.ndarray) -> np.ndarray:
     """Componentwise gradient of log p_t at x."""
     if t <= 0:
         raise ValueError("t must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _grad_log_1d(t, x, method)
+    return _grad_log_1d(t, x, AUTO)
 
 
 def gauss_kernel(t: float, x: np.ndarray) -> float:

@@ -4,13 +4,12 @@ non-spatial coalescent (holding times + jump chain)."""
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .forests import Forest, TimeDecoration
 from .partitions import (
@@ -22,7 +21,7 @@ from .partitions import (
     signatures_for,
 )
 
-QUAD_REL_TOL = 1e-10
+CONSISTENCY_TOL = 1e-10  # relative, for the subsampling recursion
 
 
 @dataclass(frozen=True)
@@ -225,7 +224,7 @@ class ConsistencyReport:
         return [sig for sig, *_, ok in self.checks if not ok]
 
 
-def check_consistency(t: RateTable, tol: float = 1e-10) -> ConsistencyReport:
+def check_consistency(t: RateTable) -> ConsistencyReport:
     """Verify the subsampling recursion of sampling-consistent rates.
 
     Adding an (n+1)'st lineage, a specific (n, ks)-merger is the restriction
@@ -250,7 +249,7 @@ def check_consistency(t: RateTable, tol: float = 1e-10) -> ConsistencyReport:
                     MergerSignature(n + 1, tuple(sorted(sig.ks + (2,), reverse=True)))
                 )
             scale = max(abs(lhs), abs(rhs), 1.0)
-            checks.append((sig, lhs, rhs, abs(lhs - rhs) <= tol * scale))
+            checks.append((sig, lhs, rhs, abs(lhs - rhs) <= CONSISTENCY_TOL * scale))
     return ConsistencyReport(checks)
 
 
@@ -327,7 +326,3 @@ def measure_to_dict(m: LambdaMeasure | XiMeasure) -> dict:
         "atoms": [{"xi": list(xi), "mass": w} for xi, w in m.atoms],
     }
 
-
-def load_measure(path) -> LambdaMeasure | XiMeasure:
-    with open(path) as fh:
-        return measure_from_dict(json.load(fh))

@@ -14,7 +14,7 @@ closed form instead, and the d = 1 pair law has its own closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, signal
@@ -26,7 +26,7 @@ from .partitions import Partition
 
 MAX_FREQ_CUTOFF = 64
 MIN_FREQ_CUTOFF = 4
-NEAR_DIAGONAL_SEP = 1e-3
+MC_SAMPLES = 20000  # proposals of the Monte Carlo route of N(x)
 
 
 def freq_cutoff(t_min: float) -> int:
@@ -44,7 +44,6 @@ def _contract(
     f: Forest,
     taus: np.ndarray,
     x: SpatialConfig,
-    K: int | None,
     integrate_out: Node | None = None,
 ) -> np.ndarray:
     """The torus tree integral at a batch of level-time vectors, one per row.
@@ -53,8 +52,9 @@ def _contract(
     branch: a leaf contributes its phase exp(-2 pi i k y), the leaf
     ``integrate_out`` a unit mass at k = 0 (its position integrated over
     the circle), and an internal node the convolution of its children's.
-    A single row is convolved directly, a batch by FFT.  Without ``K``, one
-    cutoff is chosen from the smallest level gap in the batch.
+    A single row is convolved directly, a batch by FFT.  The frequency
+    cutoff is always chosen here, once per batch, by ``freq_cutoff`` of the
+    smallest level gap in the batch.
     """
     if f.is_trivial:
         raise ValueError("forest has no internal nodes")
@@ -64,8 +64,7 @@ def _contract(
     T = taus.shape[0]
     times = np.zeros((T, f.m + 1))  # column i: level time i
     times[:, 1:] = taus
-    if K is None:
-        K = freq_cutoff(float((times[:, 1:] - times[:, :-1]).min()))
+    K = freq_cutoff(float((times[:, 1:] - times[:, :-1]).min()))
     ks = np.arange(-K, K + 1)
     decay = -2.0 * math.pi**2 * ks**2
     # the children of every internal node with their branch lengths, in
@@ -120,7 +119,6 @@ def spatial_integral_g(
     f: Forest,
     tau: TimeDecoration,
     x: SpatialConfig,
-    cutoff: int | None = None,
     integrate_out: Node | None = None,
 ) -> float:
     """Integral of the branch-factor product over all internal torus locations.
@@ -128,21 +126,18 @@ def spatial_integral_g(
     With ``integrate_out`` set, that leaf's position is integrated over the
     torus as well, giving the marginal with one leaf removed from view.
     """
-    return float(_contract(f, np.array([tau.times]), x, cutoff, integrate_out)[0])
+    return float(_contract(f, np.array([tau.times]), x, integrate_out)[0])
 
 
 def spatial_integral_g_batch(
-    f: Forest,
-    taus: np.ndarray,
-    x: SpatialConfig,
-    cutoff: int | None = None,
+    f: Forest, taus: np.ndarray, x: SpatialConfig
 ) -> np.ndarray:
     """The torus tree integral at a batch of level-time vectors.
 
     ``taus`` has shape (T, m); one value per row is returned.  A single
     frequency cutoff is chosen from the smallest level gap in the batch.
     """
-    return _contract(f, taus, x, cutoff)
+    return _contract(f, taus, x)
 
 
 # -- Normalization -----------------------------------------------------------
@@ -153,8 +148,6 @@ class NormalizationEstimate:
     value: float
     std_error: float
     method: str
-    per_forest: dict[Forest, tuple[float, float]] = field(default_factory=dict)
-    near_diagonal: bool = False
 
 
 def _forest_rates(table: RateTable, f: Forest) -> tuple[list[float], list[float]]:
@@ -212,9 +205,7 @@ def normalization_N(
     x: SpatialConfig,
     table: RateTable,
     method: str = "auto",
-    mc_samples: int = 20000,
     rng: np.random.Generator | None = None,
-    cutoff: int | None = None,
     integrate_out: Node | None = None,
     quad_epsrel: float = 1e-6,
 ) -> NormalizationEstimate:
@@ -235,7 +226,7 @@ def normalization_N(
                 f,
                 table,
                 x,
-                lambda tau, f=f: spatial_integral_g(f, tau, x, cutoff, integrate_out),
+                lambda tau, f=f: spatial_integral_g(f, tau, x, integrate_out),
                 epsrel=quad_epsrel,
             )
             per_forest[f] = (0.0, 0.0) if val is None else (float(val), 0.0)
@@ -247,29 +238,26 @@ def normalization_N(
         sums = {f: 0.0 for f in mc_forests}
         sqs = {f: 0.0 for f in mc_forests}
         wanted = {f.levels: f for f in mc_forests}
-        for _ in range(mc_samples):
+        for _ in range(MC_SAMPLES):
             fs, tau = sample_nonspatial_path(table, x.partition, rng)
             f = wanted.get(fs.levels)
             if f is None:
                 continue
-            g = spatial_integral_g(f, tau, x, cutoff, integrate_out)
+            g = spatial_integral_g(f, tau, x, integrate_out)
             sums[f] += g
             sqs[f] += g * g
         for f in mc_forests:
-            mean = sums[f] / mc_samples
-            var = max(sqs[f] / mc_samples - mean * mean, 0.0) / mc_samples
+            mean = sums[f] / MC_SAMPLES
+            var = max(sqs[f] / MC_SAMPLES - mean * mean, 0.0) / MC_SAMPLES
             per_forest[f] = (mean, math.sqrt(var))
     value = sum(v for v, _ in per_forest.values())
     std = math.sqrt(sum(e * e for _, e in per_forest.values()))
     if not math.isfinite(value):
         raise ArithmeticError("normalization estimate is not finite")
-    near = x.d >= 2 and x.min_separation() < NEAR_DIAGONAL_SEP
     return NormalizationEstimate(
         value=value,
         std_error=std,
         method="monte-carlo" if used_mc else "quadrature",
-        per_forest=per_forest,
-        near_diagonal=near,
     )
 
 
@@ -496,10 +484,10 @@ def extended_config(x: SpatialConfig, y: np.ndarray) -> tuple[SpatialConfig, Nod
     return SpatialConfig(part, positions), new_block
 
 
-def mu_coefficient_vector(
-    x: SpatialConfig, table: RateTable, cutoff: int = SPECTRAL_CUTOFF
-) -> np.ndarray:
-    """Fourier coefficients of the unnormalized resampling density (d = 1)."""
+def mu_coefficient_vector(x: SpatialConfig, table: RateTable) -> np.ndarray:
+    """Fourier coefficients of the unnormalized resampling density (d = 1),
+    truncated at SPECTRAL_CUTOFF."""
+    cutoff = SPECTRAL_CUTOFF
     if x.d != 1:
         raise ValueError("grid densities are one-dimensional")
     ext, new_block = extended_config(x, np.zeros(1))
@@ -516,10 +504,7 @@ def mu_coefficient_vector(
 
 
 def mu_density_grid(
-    x: SpatialConfig,
-    table: RateTable,
-    grid: int = MU_GRID,
-    cutoff: int = SPECTRAL_CUTOFF,
+    x: SpatialConfig, table: RateTable, grid: int = MU_GRID
 ) -> np.ndarray:
     """Normalized density of the resampling measure on a uniform grid (d = 1).
 
@@ -527,9 +512,7 @@ def mu_density_grid(
     the tree integral with the new leaf left free; the level-time integrals
     are in closed form, so no quadrature error enters.
     """
-    coeffs = mu_coefficient_grid_eval(
-        mu_coefficient_vector(x, table, cutoff), grid
-    )
+    coeffs = mu_coefficient_grid_eval(mu_coefficient_vector(x, table), grid)
     dens = np.maximum(coeffs, 0.0)
     return dens / dens.sum() * grid
 
@@ -542,44 +525,40 @@ def mu_coefficient_grid_eval(coeffs: np.ndarray, grid: int) -> np.ndarray:
     return (coeffs[None, :] * np.exp(-2j * math.pi * ys[:, None] * kf)).sum(1).real
 
 
-def sample_from_grid_density(
-    dens: np.ndarray, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Inverse-CDF sampling from a piecewise-constant density on [0,1)."""
+def sample_from_grid_density(dens: np.ndarray, rng: np.random.Generator) -> float:
+    """One inverse-CDF draw from a piecewise-constant density on [0,1)."""
     grid = dens.size
-    p = dens / dens.sum()
-    idx = rng.choice(grid, size=size, p=p)
-    return (idx + rng.uniform(size=np.shape(idx))) / grid
+    idx = rng.choice(grid, p=dens / dens.sum())
+    return (idx + rng.uniform()) / grid
+
+
+MCMC_STEPS = 305  # 300 burn-in and 5 thinning steps; the last state is drawn
+MCMC_STEP = 0.12
 
 
 @dataclass
 class MuSampler:
     """Sampler for the conditional resampling measure given placed positions.
 
-    d = 1 uses an exact grid inverse CDF; d >= 2 a Metropolis random walk on
-    the torus with the normalization as the (unnormalized) target.
+    d = 1 uses an exact inverse CDF on a ``grid``-cell density; d >= 2 a
+    Metropolis random walk on the torus of MCMC_STEPS steps with Gaussian
+    proposals of scale MCMC_STEP, with the normalization (quadrature route)
+    as the unnormalized target.
     """
 
     x: SpatialConfig
     table: RateTable
     grid: int = MU_GRID
-    burn_in: int = 300
-    thin: int = 5
-    step: float = 0.12
-    mc_samples: int = 20000
-    acceptance_rate: float | None = None
-    _dens: np.ndarray | None = None
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         if self.x.d == 1:
-            if self._dens is None:
-                self._dens = mu_density_grid(self.x, self.table, self.grid)
-            return np.atleast_1d(sample_from_grid_density(self._dens, rng))
+            dens = mu_density_grid(self.x, self.table, self.grid)
+            return np.atleast_1d(sample_from_grid_density(dens, rng))
         return self._sample_mcmc(rng)
 
     def _logpi(self, y: np.ndarray) -> float:
         ext, _ = extended_config(self.x, y)
-        val = normalization_N(ext, self.table, mc_samples=self.mc_samples).value
+        val = normalization_N(ext, self.table).value
         return math.log(val) if val > 0 else -math.inf
 
     def _sample_mcmc(self, rng: np.random.Generator) -> np.ndarray:
@@ -587,23 +566,20 @@ class MuSampler:
         y = wrap(rng.uniform(size=d))
         lp = self._logpi(y)
         accepted = 0
-        total = self.burn_in + self.thin
-        for i in range(total):
-            prop = wrap(y + self.step * rng.normal(size=d))
+        for _ in range(MCMC_STEPS):
+            prop = wrap(y + MCMC_STEP * rng.normal(size=d))
             lq = self._logpi(prop)
             if math.log(rng.uniform()) < lq - lp:
                 y, lp = prop, lq
                 accepted += 1
-        self.acceptance_rate = accepted / total
-        if not 0.1 <= self.acceptance_rate <= 0.9:
-            raise RuntimeError(
-                f"MCMC acceptance rate {self.acceptance_rate:.2f} outside [0.1, 0.9]"
-            )
+        rate = accepted / MCMC_STEPS
+        if not 0.1 <= rate <= 0.9:
+            raise RuntimeError(f"MCMC acceptance rate {rate:.2f} outside [0.1, 0.9]")
         return y
 
 
 def sample_mu(
-    x: SpatialConfig, table: RateTable, rng: np.random.Generator, **kwargs
+    x: SpatialConfig, table: RateTable, rng: np.random.Generator, grid: int = MU_GRID
 ) -> np.ndarray:
     """One draw of the next sampled position given the placed lineages."""
-    return MuSampler(x, table, **kwargs).sample(rng)
+    return MuSampler(x, table, grid).sample(rng)

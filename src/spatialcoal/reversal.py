@@ -15,25 +15,9 @@ import numpy as np
 
 from .kernels import SpatialConfig, torus_bridge_offset, wrap
 from .measures import LambdaMeasure, RateTable, XiMeasure, build_rate_table
-from .normalization import MuSampler, sample_mu
+from .normalization import MU_GRID, sample_mu
 from .partitions import MergerSignature, Partition, merger_signature
 from .sampler import ExactCoalescentSampler
-
-
-@dataclass
-class ReversalState:
-    """Level positions plus the epoch/clock bookkeeping of a reversal run."""
-
-    positions: np.ndarray  # (n, d), row i is level i+1
-    epoch: int = 0
-    clock: float = 0.0
-
-    @property
-    def n(self) -> int:
-        return self.positions.shape[0]
-
-    def config(self) -> SpatialConfig:
-        return _level_config(self.positions)
 
 
 @dataclass
@@ -68,13 +52,14 @@ def resample_levels(
     levels,
     table: RateTable,
     rng: np.random.Generator,
-    **mu_kwargs,
+    grid: int = MU_GRID,
 ) -> SpatialConfig:
     """Refill vacated levels by sequential conditional draws.
 
     ``survivors`` holds the retained positions as singleton blocks labeled by
     their level; the missing levels are redrawn one at a time in ascending
-    order, each conditioned on everything already placed.
+    order, each conditioned on everything already placed.  In d = 1 each
+    draw uses a ``grid``-cell density.
     """
     placed = {min(b): pos for b, pos in survivors.positions.items()}
     missing = sorted(set(levels) - set(placed))
@@ -83,7 +68,7 @@ def resample_levels(
             Partition([frozenset({l}) for l in placed]),
             {frozenset({l}): p for l, p in placed.items()},
         )
-        placed[j] = np.atleast_1d(sample_mu(cfg, table, rng, **mu_kwargs))
+        placed[j] = np.atleast_1d(sample_mu(cfg, table, rng, grid))
     blocks = [frozenset({l}) for l in sorted(placed)]
     return SpatialConfig(
         Partition(blocks), {b: placed[min(b)] for b in blocks}
@@ -95,18 +80,19 @@ def sample_stationary_positions(
     d: int,
     table: RateTable,
     rng: np.random.Generator,
-    **mu_kwargs,
+    grid: int = MU_GRID,
 ) -> np.ndarray:
     """An n-point draw from the stationary density, built one level at a time.
 
     The one-point marginal is uniform by translation invariance; each further
-    point is a conditional draw given those already placed.
+    point is a conditional draw given those already placed, in d = 1 from a
+    ``grid``-cell density.
     """
     out = np.empty((n, d))
     out[0] = rng.uniform(size=d)
     for i in range(1, n):
         cfg = _level_config(out[:i])
-        out[i] = sample_mu(cfg, table, rng, **mu_kwargs)
+        out[i] = sample_mu(cfg, table, rng, grid)
     return out
 
 
@@ -175,7 +161,6 @@ def simulate_reversal(
     rng: np.random.Generator,
     record_times=None,
     initial: np.ndarray | None = None,
-    mu_kwargs: dict | None = None,
 ) -> ReversalRun:
     """Run the coalescent with resampling over [0, horizon].
 
@@ -186,12 +171,11 @@ def simulate_reversal(
     table = (
         spec if isinstance(spec, RateTable) else build_rate_table(spec, max(n, 2))
     )
-    mu_kwargs = mu_kwargs or {}
     if record_times is None:
         record_times = np.linspace(0.0, horizon, 5)
     record_times = np.asarray(record_times, dtype=float)
     if initial is None:
-        positions = sample_stationary_positions(n, d, table, rng, **mu_kwargs)
+        positions = sample_stationary_positions(n, d, table, rng)
     else:
         positions = wrap(np.atleast_2d(np.asarray(initial, dtype=float))).copy()
     run_records = np.empty((record_times.size, n, d))
@@ -272,9 +256,7 @@ def simulate_reversal(
             Partition([frozenset({l}) for l in survivors]),
             {frozenset({l}): p for l, p in survivors.items()},
         )
-        new_cfg = resample_levels(
-            surv_cfg, range(1, n + 1), table, rng, **mu_kwargs
-        )
+        new_cfg = resample_levels(surv_cfg, range(1, n + 1), table, rng)
         resampled = tuple(
             sorted(set(range(1, n + 1)) - set(survivors))
         )

@@ -34,15 +34,20 @@ from .kernels import (
 from .measures import RateTable, sample_nonspatial_path
 from .normalization import (
     SPECTRAL_CUTOFF,
+    SPECTRAL_MAX_ELEMENTS,
     _forest_rates,
     _spectral_sum,
+    grad_log_N_spectral,
     spatial_integral_g,
     spatial_integral_g_batch,
 )
 from .partitions import Partition
 
-DEFAULT_TIME_GRID = 512
-SIR_ESS_FRACTION = 0.2
+TIME_GRID = 512  # inverse-CDF cells of a merge-time law
+DRIFT_GRID = 512  # the pair drift's FFT grid per axis
+DRIFT_CUTOFF = 255  # and its frequency cutoff
+SDE_T_MAX = 50.0  # censoring time of the pair-separation diffusion
+SDE_STEP_CAP = 0.05  # its step is at most SDE_STEP_CAP r^2 at separation r
 
 
 @dataclass
@@ -83,16 +88,6 @@ class CoalescentPath:
         return part
 
 
-@dataclass
-class WeightedSample:
-    sample: DecoratedForest
-    log_weight: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.log_weight):
-            raise ValueError("log_weight must be finite")
-
-
 # -- Exact merge-location sampling -------------------------------------------
 
 
@@ -101,7 +96,6 @@ def sample_merge_locations(
     tau: TimeDecoration,
     x: SpatialConfig,
     rng: np.random.Generator,
-    offset_cutoff: int | None = None,
 ) -> SpaceDecoration:
     """Exact draw of the merge locations given the forest and its times.
 
@@ -114,7 +108,7 @@ def sample_merge_locations(
     if f.is_trivial:
         return SpaceDecoration({})
     depth = tau.level_time(f.m)
-    ks = _offset_range(2.0 * depth, offset_cutoff)
+    ks = _offset_range(2.0 * depth, None)
     pinned = set()
     for root in f.roots:
         for u in f.leaves:
@@ -173,27 +167,22 @@ class ExactCoalescentSampler:
     (closed-form spectral sums); merge times come from an inverse-CDF table
     on the uniformized gap variables u_i = 1 - exp(-lambda_i s_i), under
     which the residual density is just the tree integral g; locations are
-    exact Gaussian-tree draws.
+    exact Gaussian-tree draws.  The time tables have TIME_GRID cells per
+    gap for one merge event (an eighth, at least 48, for two), and the
+    forest weights truncate at ``cutoff`` = SPECTRAL_CUTOFF.
     """
 
-    def __init__(
-        self,
-        x: SpatialConfig,
-        table: RateTable,
-        time_grid: int = DEFAULT_TIME_GRID,
-        cutoff: int = SPECTRAL_CUTOFF,
-    ):
+    def __init__(self, x: SpatialConfig, table: RateTable):
         self.x = x
         self.table = table
-        self.time_grid = time_grid
-        self.cutoff = cutoff
+        self.cutoff = SPECTRAL_CUTOFF
         self.forests = enumerate_forests(x.partition, table.is_absorbing)
         weights = []
         for f in self.forests:
             if f.is_trivial:
                 weights.append(1.0)
             else:
-                weights.append(_spectral_sum(f, table, x, cutoff))
+                weights.append(_spectral_sum(f, table, x, self.cutoff))
         w = np.array(weights)
         if w.sum() <= 0:
             raise ArithmeticError("all forest weights vanished")
@@ -210,7 +199,7 @@ class ExactCoalescentSampler:
                 "use scheme 'sir' for deeper forests"
             )
         _, lams = _forest_rates(self.table, f)
-        grid = self.time_grid if f.m == 1 else max(48, self.time_grid // 8)
+        grid = TIME_GRID if f.m == 1 else max(48, TIME_GRID // 8)
         mids = (np.arange(grid) + 0.5) / grid
         shape = (grid,) * f.m
         gaps = [-np.log1p(-mids) / lam for lam in lams]
@@ -254,21 +243,11 @@ class ExactCoalescentSampler:
         )
         return DecoratedForest(f, tau, xi)
 
-    def sample_batch(
-        self, size: int, rng: np.random.Generator, with_locations: bool = True
-    ) -> list[DecoratedForest]:
-        return [self.sample(rng, with_locations) for _ in range(size)]
-
 
 @dataclass
 class SIRReport:
     batch: int
     ess: float
-    threshold: float
-
-    @property
-    def degenerate(self) -> bool:
-        return self.ess < self.threshold * self.batch
 
 
 def _systematic_resample(
@@ -284,8 +263,7 @@ def sir_sample(
     table: RateTable,
     rng: np.random.Generator,
     batch: int = 512,
-    ess_threshold: float = SIR_ESS_FRACTION,
-) -> tuple[list[DecoratedForest], list[WeightedSample], SIRReport]:
+) -> tuple[list[DecoratedForest], SIRReport]:
     """Sequential importance resampling with the non-spatial coalescent as
     proposal.  Its path density is exactly the time factor, so the weight is
     exactly the spatial tree integral."""
@@ -298,20 +276,12 @@ def sir_sample(
     if weights.sum() <= 0:
         raise ArithmeticError("all importance weights vanished")
     ess = float(weights.sum() ** 2 / (weights**2).sum())
-    report = SIRReport(batch=batch, ess=ess, threshold=ess_threshold)
-    weighted = []
-    floor = weights[weights > 0].min()
-    for (f, tau), w in zip(proposals, weights):
-        lw = math.log(w) if w > 0 else math.log(floor) - 700.0
-        weighted.append(
-            WeightedSample(DecoratedForest(f, tau, SpaceDecoration({})), lw)
-        )
     out = []
     for i in _systematic_resample(weights, rng):
         f, tau = proposals[i]
         xi = sample_merge_locations(f, tau, x, rng)
         out.append(DecoratedForest(f, tau, xi))
-    return out, weighted, report
+    return out, SIRReport(batch=batch, ess=ess)
 
 
 def sample_decorated_forest(
@@ -406,14 +376,19 @@ class PairDriftField:
 
     The pair normalization has the closed form
     N(delta) = sum_k rate cos(2 pi k . delta) / (lambda + 4 pi^2 |k|^2),
-    evaluated here on an FFT grid with bilinear interpolation in between.
+    evaluated here on a DRIFT_GRID^d FFT grid, truncated at DRIFT_CUTOFF,
+    with multilinear interpolation in between.  The grid must fit the
+    package's element budget, SPECTRAL_MAX_ELEMENTS, so d = 3 is refused
+    before anything is allocated.
     """
 
-    def __init__(
-        self, table: RateTable, d: int, grid: int = 512, cutoff: int = 255
-    ):
-        if 2 * cutoff + 1 > grid:
-            raise ValueError("cutoff too large for the grid")
+    def __init__(self, table: RateTable, d: int):
+        grid, cutoff = DRIFT_GRID, DRIFT_CUTOFF
+        if grid**d > SPECTRAL_MAX_ELEMENTS:
+            raise ValueError(
+                f"pair drift grid needs {grid**d:.3g} elements ({grid}^{d}), "
+                f"over the budget of {SPECTRAL_MAX_ELEMENTS} elements"
+            )
         self.d = d
         self.grid = grid
         lam = table.total(2)
@@ -425,7 +400,6 @@ class PairDriftField:
             return
         self.zero = False
         freqs = np.fft.fftfreq(grid, d=1.0 / grid)  # integer wavenumbers
-        mask = np.abs(freqs) <= cutoff
         shape = (grid,) * d
         k2 = np.zeros(shape)
         kc = []
@@ -470,9 +444,7 @@ class PairDriftField:
         )
 
 
-def pair_attraction(
-    delta: np.ndarray, table: RateTable, cutoff: int = 255
-) -> np.ndarray:
+def pair_attraction(delta: np.ndarray, table: RateTable) -> np.ndarray:
     """Attraction field of a lineage toward its partner.
 
     The drift of a lineage at x with a partner at y points along
@@ -505,7 +477,6 @@ def pair_residual_times(
     deltas: np.ndarray,
     table: RateTable,
     rng: np.random.Generator,
-    grid: int = DEFAULT_TIME_GRID,
 ) -> np.ndarray:
     """Merge times of lineage pairs at given displacements, batch-vectorized.
 
@@ -524,7 +495,7 @@ def pair_residual_times(
     sep2 = float(np.min(np.sum(deltas**2, axis=1)))
     s_lo = max(sep2 / 100.0, 1e-14)
     s_hi = 60.0 / lam
-    edges = np.geomspace(s_lo, s_hi, 2 * grid + 1)
+    edges = np.geomspace(s_lo, s_hi, 2 * TIME_GRID + 1)
     mids = np.sqrt(edges[:-1] * edges[1:])
     widths = np.diff(edges)
     w = np.empty((mids.size, n))
@@ -546,10 +517,6 @@ def pair_separation_run(
     merge_radius: float,
     n_paths: int,
     rng: np.random.Generator,
-    t_max: float = 50.0,
-    field: PairDriftField | None = None,
-    residual: bool = True,
-    step_cap: float = 0.05,
 ) -> np.ndarray:
     """Coalescence times of the pair-separation diffusion, batch-vectorized.
 
@@ -557,16 +524,14 @@ def pair_separation_run(
     s the displacement drift; integration stops when |W| < merge_radius.
     Stopping at a positive radius systematically precedes the true collision,
     so by the Markov property the remaining merge time at the stopped
-    displacement is drawn from the exact pair law (``residual=True``); with
-    ``residual=False`` the raw radius-hitting times are returned.  Censored
-    paths report t_max.
+    displacement is drawn from the exact pair law and added.  Paths still
+    apart at SDE_T_MAX are censored there and report SDE_T_MAX.
     """
     d = np.atleast_1d(delta0).size
-    if field is None:
-        field = PairDriftField(table, d)
+    field = PairDriftField(table, d)
     W = np.tile(np.atleast_1d(delta0), (n_paths, 1)).astype(float)
     t = np.zeros(n_paths)
-    out = np.full(n_paths, t_max)
+    out = np.full(n_paths, SDE_T_MAX)
     stopped = np.full((n_paths, d), np.nan)
     active = np.ones(n_paths, dtype=bool)
     while active.any():
@@ -583,7 +548,7 @@ def pair_separation_run(
             if Wa.size == 0:
                 continue
         # shrink the step near the diagonal: drift ~ 1/r must stay resolved
-        dts = np.minimum(dt, step_cap * r**2)
+        dts = np.minimum(dt, SDE_STEP_CAP * r**2)
         drift = 2.0 * field.grad_log_N(Wa)
         Wa = Wa + drift * dts[:, None] + np.sqrt(2.0 * dts)[:, None] * rng.normal(
             size=Wa.shape
@@ -591,13 +556,12 @@ def pair_separation_run(
         ids = np.flatnonzero(active)
         W[ids] = wrap(Wa)
         t[ids] += dts
-        expire = t[ids] >= t_max
+        expire = t[ids] >= SDE_T_MAX
         if expire.any():
             active[ids[expire]] = False
-    if residual:
-        hit = np.isfinite(stopped[:, 0])
-        if hit.any():
-            out[hit] += pair_residual_times(stopped[hit], table, rng)
+    hit = np.isfinite(stopped[:, 0])
+    if hit.any():
+        out[hit] += pair_residual_times(stopped[hit], table, rng)
     return out
 
 
@@ -607,8 +571,7 @@ def sde_sample(
     dt: float,
     merge_radius: float,
     rng: np.random.Generator,
-    t_max: float = 50.0,
-    grad_fn=None,
+    t_max: float = SDE_T_MAX,
 ) -> CoalescentPath:
     """Euler-Maruyama integration of the drift SDE with radius merging.
 
@@ -621,12 +584,6 @@ def sde_sample(
         raise ValueError("the drift-SDE construction requires d >= 2")
     if x.min_separation() <= merge_radius:
         raise ValueError("initial positions closer than the merge radius")
-    if grad_fn is None:
-        from .normalization import grad_log_N_spectral
-
-        def grad_fn(cfg):
-            return grad_log_N_spectral(cfg, table, cutoff=24)
-
     part = x.partition
     positions = dict(x.positions)
     t = 0.0
@@ -640,7 +597,7 @@ def sde_sample(
         dte = min(dt, max(0.1 * r * r, 1e-8))
         if dte < 1e-12:
             raise ArithmeticError(f"step size underflow at {cfg}")
-        grads = grad_fn(cfg)
+        grads = grad_log_N_spectral(cfg, table, cutoff=24)
         new_pos = {}
         for u in part.blocks:
             step = grads[u] * dte + math.sqrt(dte) * rng.normal(size=x.d)

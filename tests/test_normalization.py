@@ -126,7 +126,7 @@ def test_integrate_out_leaves_the_pair():
         )
         # spatial_integral_g_batch takes no integrate_out; it passes its rows
         # to the same engine, called here directly on the whole batch
-        batch = _contract(f, taus, x, None, third)
+        batch = _contract(f, taus, x, third)
         np.testing.assert_allclose(point, want, rtol=1e-12, atol=0)
         np.testing.assert_allclose(batch, want, rtol=1e-12, atol=0)
 

@@ -1,6 +1,7 @@
 """Exact coalescent sampling, path filling, and the drift-SDE route."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ def test_sample_paths_endpoints_and_wrap():
 def test_sir_matches_exact_on_merge_times():
     x = SpatialConfig.from_points([[0.1], [0.5]])
     rng = np.random.default_rng(4)
-    out, weighted, report = sir_sample(x, KINGMAN2, rng, batch=2000)
+    out, report = sir_sample(x, KINGMAN2, rng, batch=2000)
     assert report.ess > 10
     assert len(out) == 2000
     sir_times = np.array([df.tau.times[0] for df in out])
@@ -139,6 +140,15 @@ def test_pair_drift_field_matches_attraction_direction():
     for gi, ai in zip(g, a):
         cos = gi @ ai / (np.linalg.norm(gi) * np.linalg.norm(ai))
         assert cos > 0.99
+
+
+def test_pair_drift_field_over_budget_fails_fast():
+    # a 512^3 grid would need 1 GiB per float array; it must be refused
+    # before anything is allocated
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="over the budget"):
+        PairDriftField(KINGMAN2, d=3)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_pair_attraction_inverse_r_blowup():
