@@ -234,9 +234,7 @@ def _run_consistency(spec: ExperimentSpec) -> TestReport:
         [[0.1] * spec.d, [0.1 + delta] + [0.1] * (spec.d - 1), [0.7] * spec.d]
     )
     third = x3.partition.blocks[2]
-    marg = normalization_N(
-        x3, table, method="quadrature", integrate_out=third, quad_epsrel=1e-5
-    )
+    marg = normalization_N(x3, table, method="quadrature", integrate_out=third)
     rel2 = abs(marg.value - n_spec) / abs(n_spec)
     tol2 = max(1e-4, 3.0 * marg.std_error / abs(n_spec))
     results.append(
@@ -277,9 +275,7 @@ def pair_time_cdf(delta: float, table: RateTable, d: int = 1):
     vals = lam * np.exp(-lam * ts)
     for c in range(d):
         sep = delta if c == 0 else 0.0
-        vals = vals * np.array(
-            [float(_kernel_1d(2.0 * t, np.atleast_1d(sep), AUTO)[0]) for t in ts]
-        )
+        vals = vals * _kernel_1d(2.0 * ts, sep, AUTO)
     cum = integrate.cumulative_trapezoid(vals, ts, initial=0.0)
     cum /= cum[-1]
 

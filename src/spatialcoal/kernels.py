@@ -55,18 +55,27 @@ class KernelMethod:
 AUTO = KernelMethod()
 
 
-def _kernel_1d(t: float, x: np.ndarray, method: KernelMethod) -> np.ndarray:
-    """Wrapped 1-d heat kernel, vectorized over x."""
-    x = np.asarray(x, dtype=float)
+def _kernel_1d(t, x, method: KernelMethod) -> np.ndarray:
+    """Wrapped 1-d heat kernel, vectorized over t and x, which broadcast.
+
+    Each t picks its branch, image sum or Fourier series, by a mask on t.
+    """
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
     K = method.cutoff
-    if method.pick(t) == "image-sum":
-        k = np.arange(-K, K + 1)
-        z = x[..., None] + k
-        return (np.exp(-z * z / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)).sum(-1)
+    if method.variant == "auto":
+        image = t < METHOD_SWITCH_T
+    else:
+        image = np.full(t.shape, method.variant == "image-sum")
+    out = np.empty(t.shape)
+    ti, xi = t[image][..., None], x[image][..., None]
+    z = xi + np.arange(-K, K + 1)
+    out[image] = (np.exp(-z * z / (2.0 * ti)) / np.sqrt(2.0 * math.pi * ti)).sum(-1)
+    tf, xf = t[~image][..., None], x[~image][..., None]
     k = np.arange(1, K + 1)
-    return 1.0 + 2.0 * (
-        np.exp(-2.0 * math.pi**2 * k**2 * t) * np.cos(2.0 * math.pi * k * x[..., None])
+    out[~image] = 1.0 + 2.0 * (
+        np.exp(-2.0 * math.pi**2 * k**2 * tf) * np.cos(2.0 * math.pi * k * xf)
     ).sum(-1)
+    return out
 
 
 def _grad_log_1d(t: float, x: np.ndarray, method: KernelMethod) -> np.ndarray:
@@ -109,19 +118,20 @@ def gauss_kernel(t: float, x: np.ndarray) -> float:
     )
 
 
-def gaussian_product_collapse(xs, ss) -> tuple[float, np.ndarray]:
+def gaussian_product_collapse(xs, ss) -> tuple[float | np.ndarray, np.ndarray]:
     """Collapse a product of Gaussians in a common variable.
 
     Returns (s, xbar) with 1/s = sum 1/s_i and xbar the precision-weighted
     mean, so that prod_i p_{s_i}(x_i - z) equals
     p_s(z - xbar)/p_s(0) * prod_i p_{s_i}(x_i - xbar) identically in z.
-    The x_i may carry leading axes of parallel cases, which broadcast.
+    The x_i and s_i may carry leading axes of parallel cases, which
+    broadcast.
     """
     xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xs]
-    ss = [float(s) for s in ss]
+    ss = [np.asarray(s, dtype=float) for s in ss]
     if not xs or len(xs) != len(ss):
         raise ValueError("need matching, nonempty xs and ss")
-    if any(s <= 0 for s in ss):
+    if any(np.any(s <= 0) for s in ss):
         raise ValueError("all s_i must be positive")
     inv = sum(1.0 / s for s in ss)
     xbar = sum(x / (si * inv) for x, si in zip(xs, ss))

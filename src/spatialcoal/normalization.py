@@ -2,31 +2,58 @@
 normalization function that drives sampling, drift and resampling.
 
 The torus integral g(F, tau, x) over internal merge locations has one
-implementation, ``_contract``: per coordinate, a Fourier contraction along
-the tree over a batch of level-time vectors.  Every branch carries a
-frequency, integrating an internal node's location forces the frequencies
-of incident branches to balance, and leaves contribute phases.  The
-quadrature and Monte Carlo routes of N(x), the sampler's gap tables and its
-SIR weights all call it.  The spectral route integrates the level times in
+implementation, ``_contract``, over a batch of level-time vectors, per
+coordinate and split at SPLIT_TIME (Ewald summation).  A subtree whose
+nodes are all born earlier is collapsed in real space: its Gaussians,
+unwrapped over a few lattice images of each leaf, multiply into a sum of
+Gaussians with known weights, means and variance.  Above it, every branch
+carries a frequency vector: integrating an internal node's location forces
+the frequencies of incident branches to balance, and leaves contribute
+phases.  Every message that reaches the Fourier part is then smooth on the
+scale of SPLIT_TIME, so a few dozen frequencies suffice at any level times.
+The quadrature and Monte Carlo routes of N(x), the sampler's gap tables and
+its SIR weights all call it.  The quadrature route is one fixed tensor
+product of log-time Gauss-Legendre rules, one per level gap, contracted as
+one batch per forest.  The spectral route integrates the level times in
 closed form instead, and the d = 1 pair law has its own closed form.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, signal
+from scipy import signal
 
 from .forests import Forest, Node, TimeDecoration, enumerate_forests
-from .kernels import SpatialConfig, wrap
+from .kernels import (
+    SpatialConfig,
+    gaussian_product_collapse,
+    torus_displacement,
+    wrap,
+)
 from .measures import RateTable, sample_nonspatial_path
 from .partitions import Partition
 
 MAX_FREQ_CUTOFF = 64
 MIN_FREQ_CUTOFF = 4
 MC_SAMPLES = 20000  # proposals of the Monte Carlo route of N(x)
+# Nodes born before SPLIT_TIME are collapsed in real space, over the lattice
+# offsets IMAGE_OFFSETS of each leaf relative to its subtree's first leaf
+# (the next image is e^-75 below the kept ones there); the Fourier part then
+# only sees messages of variance at least SPLIT_TIME / (number of leaves).
+SPLIT_TIME = 0.02
+IMAGE_OFFSETS = np.arange(-2, 3)
+CHUNK_ROWS = 512  # level-time rows contracted at once
+# The time rule of the quadrature route: per level gap, Gauss-Legendre nodes
+# in log time on two panels, GAP_NODES[0] on [GAP_MIN, SPLIT_TIME] and
+# GAP_NODES[1] from SPLIT_TIME to GAP_MAX_MEANS mean lengths of the gap.
+GAP_NODES = (96, 40)
+GAP_MIN = 1e-14
+GAP_MAX_MEANS = 60.0
 
 
 def freq_cutoff(t_min: float) -> int:
@@ -37,7 +64,7 @@ def freq_cutoff(t_min: float) -> int:
     return max(MIN_FREQ_CUTOFF, min(MAX_FREQ_CUTOFF, k))
 
 
-# -- Fourier contraction -----------------------------------------------------
+# -- Tree contraction ---------------------------------------------------------
 
 
 def _contract(
@@ -48,70 +75,142 @@ def _contract(
 ) -> np.ndarray:
     """The torus tree integral at a batch of level-time vectors, one per row.
 
-    Per coordinate, a leaves-to-root pass carries one frequency vector per
-    branch: a leaf contributes its phase exp(-2 pi i k y), the leaf
-    ``integrate_out`` a unit mass at k = 0 (its position integrated over
-    the circle), and an internal node the convolution of its children's.
-    A single row is convolved directly, a batch by FFT.  The frequency
-    cutoff is always chosen here, once per batch, by ``freq_cutoff`` of the
-    smallest level gap in the batch.
+    Rows are grouped by how many levels are born before SPLIT_TIME, and
+    contracted CHUNK_ROWS at a time by ``_contract_rows``.
     """
     if f.is_trivial:
         raise ValueError("forest has no internal nodes")
     taus = np.atleast_2d(np.asarray(taus, dtype=float))
     if taus.shape[1] != f.m:
         raise ValueError("level-time batch does not match the forest")
+    if not (np.diff(taus, axis=1, prepend=0.0) > 0).all():
+        raise ValueError("branch length must be positive")
+    out = np.empty(taus.shape[0])
+    short = (taus < SPLIT_TIME).sum(axis=1)
+    for j in np.unique(short):
+        rows = np.flatnonzero(short == j)
+        for lo in range(0, rows.size, CHUNK_ROWS):
+            chunk = rows[lo : lo + CHUNK_ROWS]
+            out[chunk] = _contract_rows(f, taus[chunk], x, integrate_out, int(j))
+    return out
+
+
+def _contract_rows(
+    f: Forest,
+    taus: np.ndarray,
+    x: SpatialConfig,
+    integrate_out: Node | None,
+    short_levels: int,
+) -> np.ndarray:
+    """The tree integral at rows whose first ``short_levels`` levels are born
+    before SPLIT_TIME, per coordinate, leaves to roots.
+
+    A node born before SPLIT_TIME (short) is collapsed in real space: its
+    subtree's Gaussians, unwrapped over IMAGE_OFFSETS per leaf, combine by
+    ``gaussian_product_collapse`` into weights W_q at means xbar_q with one
+    variance r, so the node's message in z is sum_q W_q p_r(z - xbar_q)
+    exactly.  A short root contributes sum_q W_q; a short node under a long
+    one sends the Fourier series sum_q W_q e^{-2 pi i k xbar_q - 2 pi^2 k^2 r}.
+    Above them, every branch carries a frequency vector: a leaf its phase
+    exp(-2 pi i k y), and a long internal node the convolution of its
+    children's messages, each damped by its branch.  The leaf
+    ``integrate_out`` has unit mass and drops out of both parts.  The
+    frequency cutoff comes from ``freq_cutoff`` of the smallest collapsed
+    variance of a long node, which is at least SPLIT_TIME / (leaves below).
+    """
     T = taus.shape[0]
     times = np.zeros((T, f.m + 1))  # column i: level time i
     times[:, 1:] = taus
-    K = freq_cutoff(float((times[:, 1:] - times[:, :-1]).min()))
-    ks = np.arange(-K, K + 1)
-    decay = -2.0 * math.pi**2 * ks**2
-    # the children of every internal node with their branch lengths, in
-    # birth order, so that children come before their parents
-    birth: dict[Node, np.ndarray] = {}
+    # the kept children of every internal node with their branch lengths, in
+    # birth order, so that children come before their parents; r[v] is the
+    # variance of the product of the messages entering v (0 at a leaf)
+    birth: dict[Node, int] = {}
     kids: dict[Node, list[tuple[Node, np.ndarray]]] = {}
+    r: dict[Node, np.ndarray] = {}
     for i, level in enumerate(f.levels):
         for v in level.blocks:
             if v in birth:
                 continue
-            birth[v] = times[:, i]
-            if i:
-                kids[v] = [
-                    (u, (birth[v] - birth[u])[:, None])
-                    for u in f.levels[i - 1].blocks
-                    if u <= v
-                ]
-    leaves = [u for u in f.leaves if u != integrate_out]
-    pos = np.array([x.positions[u] for u in leaves])
-    phases = np.exp(-2j * math.pi * ks * pos[:, :, None])  # (leaf, coordinate, k)
-    unit = np.zeros(2 * K + 1)
-    unit[K] = 1.0
+            birth[v] = i
+            if not i:
+                r[v] = np.zeros((T, 1))
+                continue
+            kids[v] = [
+                (u, (times[:, i] - times[:, birth[u]])[:, None])
+                for u in f.levels[i - 1].blocks
+                if u <= v and u != integrate_out
+            ]
+            r[v] = 1.0 / sum(1.0 / (r[u] + length) for u, length in kids[v])
+    short = [v for v in kids if birth[v] <= short_levels]
+    long = [v for v in kids if birth[v] > short_levels]
+    K = freq_cutoff(min(float(r[v].min()) for v in long)) if long else 0
+    ks = np.arange(-K, K + 1)
+    decay = -2.0 * math.pi**2 * ks**2
+    unit = (ks == 0)[None, :]
+    parent = {u: v for v, branches in kids.items() for u, _ in branches}
+    # a topmost short node's kept leaves, each with its first leaf and its
+    # lattice offset per image, on an axis shared by the whole subtree; the
+    # first leaf stays put and the others take every offset
+    top = [v for v in short if parent.get(v) not in short]
+    images: dict[Node, tuple[Node, np.ndarray]] = {}
+    for v in top:
+        below = [u for u in f.leaves if u <= v and u != integrate_out]
+        offsets = [[0]] + [IMAGE_OFFSETS] * (len(below) - 1)
+        combos = np.array(list(itertools.product(*offsets)))
+        images.update({u: (below[0], combos[:, j]) for j, u in enumerate(below)})
 
     def conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # for one row of 2K+1 values, FFT set-up costs more than it saves;
-        # a quadrature of N(x) makes about 1e5 such one-row calls
-        if T == 1:
-            return np.convolve(a[0], b[0])[None, K : 3 * K + 1]
         return signal.fftconvolve(a, b, axes=1)[:, K : 3 * K + 1]
 
-    out = 1.0
+    out = np.ones(T)
     for c in range(x.d):
-        # the frequency vector entering each node from below
-        up = {u: phases[j, c] for j, u in enumerate(leaves)}
-        if integrate_out is not None:
-            up[integrate_out] = unit
-        for v, branches in kids.items():
-            acc = None
-            for u, length in branches:
-                m = np.exp(length * decay) * up.pop(u)
-                acc = m if acc is None else conv(acc, m)
-            up[v] = acc
-        vals = 1.0
-        for root in f.roots:
-            if root in kids:  # an isolated leaf has unit mass
-                vals = vals * up[root][:, K]
-        out = out * vals.real
+        y = {u: float(x.positions[u][c]) for u in f.leaves}
+        # real space: per image, the mean and weight of every short subtree
+        xbar = {
+            u: y[a] + torus_displacement(y[u], y[a]) + offsets
+            for u, (a, offsets) in images.items()
+        }
+        weight = {u: 1.0 for u in images}
+        for v in short:
+            ss = [r[u] + length for u, length in kids[v]]
+            _, xbar[v] = gaussian_product_collapse([xbar[u] for u, _ in kids[v]], ss)
+            w = np.sqrt(2.0 * math.pi * r[v])
+            for (u, _), su in zip(kids[v], ss):
+                dz = xbar[v] - xbar[u]
+                w = w * weight[u] * np.exp(-dz * dz / (2.0 * su))
+                w = w / np.sqrt(2.0 * math.pi * su)
+            weight[v] = w
+        # Fourier space, from the leaves and the topmost short nodes up
+        up = {u: np.exp(-2j * math.pi * ks * y[u])[None, :] for u in f.leaves}
+        for v in top:
+            if v in parent:
+                up[v] = _image_series(weight[v], xbar[v], K) * np.exp(r[v] * decay)
+        for v in long:
+            ms = [np.exp(length * decay) * up.pop(u) for u, length in kids[v]]
+            if v in parent:
+                up[v] = functools.reduce(conv, ms)
+            else:  # a root needs only k = 0 of the product of its messages
+                *rest, last = ms
+                acc = functools.reduce(conv, rest) if rest else unit
+                out = out * (acc * last[:, ::-1]).sum(1).real
+        for v in top:
+            if v not in parent:
+                out = out * weight[v].sum(1)
+    return out
+
+
+def _image_series(w: np.ndarray, xbar: np.ndarray, K: int) -> np.ndarray:
+    """sum_q w_q exp(-2 pi i k xbar_q) for k = -K..K, rows on the first axis
+    and images q on the second, by powers of exp(-2 pi i xbar_q); w is real,
+    so the coefficient at -k is the conjugate of the one at k."""
+    z = np.exp(-2j * math.pi * xbar)
+    zk = w.astype(complex)
+    out = np.empty((w.shape[0], 2 * K + 1), dtype=complex)
+    out[:, K] = w.sum(1)
+    for k in range(1, K + 1):
+        zk = zk * z
+        out[:, K + k] = zk.sum(1)
+    out[:, :K] = out[:, : K : -1].conj()
     return out
 
 
@@ -134,8 +233,7 @@ def spatial_integral_g_batch(
 ) -> np.ndarray:
     """The torus tree integral at a batch of level-time vectors.
 
-    ``taus`` has shape (T, m); one value per row is returned.  A single
-    frequency cutoff is chosen from the smallest level gap in the batch.
+    ``taus`` has shape (T, m); one value per row is returned.
     """
     return _contract(f, taus, x)
 
@@ -159,46 +257,48 @@ def _forest_rates(table: RateTable, f: Forest) -> tuple[list[float], list[float]
     return rates, totals
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _gap_rule(lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s and weights w with sum_i w_i h(s_i) ~ int_0^inf e^{-lam s} h(s) ds.
+
+    Gauss-Legendre in log s, GAP_NODES per panel.  The panel boundary at
+    SPLIT_TIME keeps the switch of ``_contract`` between real and Fourier
+    space off the interior of a panel.
+    """
+    edges = (GAP_MIN, SPLIT_TIME, max(GAP_MAX_MEANS / lam, 2.0 * SPLIT_TIME))
+    nodes, weights = [], []
+    for a, b, n in zip(edges, edges[1:], GAP_NODES):
+        u, w = _legendre(n)
+        half = 0.5 * math.log(b / a)
+        s = math.sqrt(a * b) * np.exp(half * u)
+        nodes.append(s)
+        weights.append(half * w * s * np.exp(-lam * s))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
 def _quad_forest(
-    f: Forest,
-    table: RateTable,
-    x: SpatialConfig,
-    integrand,
-    epsrel: float = 1e-6,
-):
-    """Integrate rate-weighted integrand(tau) over the time decorations of a
-    forest with at most two merge events.  integrand may be vector-valued."""
+    f: Forest, table: RateTable, x: SpatialConfig, integrate_out: Node | None
+) -> float:
+    """Integrate the rate-weighted tree integral over the time decorations of
+    a forest with at most two merge events, by the tensor product of one
+    ``_gap_rule`` per level gap in a single batch of level-time rows."""
     rates, totals = _forest_rates(table, f)
     if any(r <= 0 for r in rates):
-        return None
-    if f.m == 1:
-
-        def fn(t):
-            return (
-                rates[0]
-                * math.exp(-totals[0] * t)
-                * integrand(TimeDecoration((t,)))
-            )
-
-        val, err = integrate.quad_vec(fn, 0.0, np.inf, epsrel=epsrel)
-        return val
-    if f.m == 2:
-
-        def outer(t1):
-            def inner(s):
-                return (
-                    rates[0]
-                    * rates[1]
-                    * math.exp(-totals[0] * t1 - totals[1] * s)
-                    * integrand(TimeDecoration((t1, t1 + s)))
-                )
-
-            v, _ = integrate.quad_vec(inner, 0.0, np.inf, epsrel=epsrel)
-            return v
-
-        val, err = integrate.quad_vec(outer, 0.0, np.inf, epsrel=epsrel)
-        return val
-    raise ValueError("quadrature only supports up to two merge events")
+        return 0.0
+    if f.m > 2:
+        raise ValueError("quadrature only supports up to two merge events")
+    rules = [_gap_rule(lam) for lam in totals]
+    gaps = np.meshgrid(*(s for s, _ in rules), indexing="ij")
+    weights = np.prod(np.meshgrid(*(w for _, w in rules), indexing="ij"), axis=0)
+    taus = np.cumsum(np.stack([g.ravel() for g in gaps], axis=1), axis=1)
+    # a gap below the resolution of the level time before it becomes one ulp
+    taus[:, 1:] = np.maximum(taus[:, 1:], np.nextafter(taus[:, :-1], np.inf))
+    return math.prod(rates) * float(weights.ravel() @ _contract(f, taus, x, integrate_out))
 
 
 def normalization_N(
@@ -207,13 +307,15 @@ def normalization_N(
     method: str = "auto",
     rng: np.random.Generator | None = None,
     integrate_out: Node | None = None,
-    quad_epsrel: float = 1e-6,
 ) -> NormalizationEstimate:
     """Total mass of the unnormalized decorated-forest measure at ``x``.
 
-    Per forest, the time integral is done by adaptive quadrature for at most
-    two merge events and by Monte Carlo over the exact non-spatial sampler
-    otherwise (the non-spatial density is exactly the required weight).
+    Per forest, the time integral is done by a fixed Gauss rule (one
+    ``_gap_rule`` per level gap, see ``_quad_forest``) for at most two merge
+    events, and by Monte Carlo over the exact non-spatial sampler otherwise
+    (the non-spatial density is exactly the required weight).  Either way
+    the tree integrals of a forest go to ``_contract`` as one batch.  With
+    ``integrate_out``, that leaf's position is integrated over the torus.
     """
     forests = enumerate_forests(x.partition, table.is_absorbing)
     per_forest: dict[Forest, tuple[float, float]] = {}
@@ -222,34 +324,23 @@ def normalization_N(
         if f.is_trivial:
             per_forest[f] = (1.0, 0.0)
         elif method != "monte-carlo" and f.m <= 2:
-            val = _quad_forest(
-                f,
-                table,
-                x,
-                lambda tau, f=f: spatial_integral_g(f, tau, x, integrate_out),
-                epsrel=quad_epsrel,
-            )
-            per_forest[f] = (0.0, 0.0) if val is None else (float(val), 0.0)
+            per_forest[f] = (_quad_forest(f, table, x, integrate_out), 0.0)
         else:
             mc_forests.append(f)
     used_mc = bool(mc_forests)
     if used_mc:
         rng = rng if rng is not None else np.random.default_rng()
-        sums = {f: 0.0 for f in mc_forests}
-        sqs = {f: 0.0 for f in mc_forests}
+        hits: dict[Forest, list[tuple[float, ...]]] = {f: [] for f in mc_forests}
         wanted = {f.levels: f for f in mc_forests}
         for _ in range(MC_SAMPLES):
             fs, tau = sample_nonspatial_path(table, x.partition, rng)
-            f = wanted.get(fs.levels)
-            if f is None:
-                continue
-            g = spatial_integral_g(f, tau, x, integrate_out)
-            sums[f] += g
-            sqs[f] += g * g
-        for f in mc_forests:
-            mean = sums[f] / MC_SAMPLES
-            var = max(sqs[f] / MC_SAMPLES - mean * mean, 0.0) / MC_SAMPLES
-            per_forest[f] = (mean, math.sqrt(var))
+            if fs.levels in wanted:
+                hits[wanted[fs.levels]].append(tau.times)
+        for f, taus in hits.items():
+            g = _contract(f, np.array(taus), x, integrate_out) if taus else np.zeros(0)
+            mean = g.sum() / MC_SAMPLES
+            var = max((g * g).sum() / MC_SAMPLES - mean * mean, 0.0) / MC_SAMPLES
+            per_forest[f] = (float(mean), math.sqrt(var))
     value = sum(v for v, _ in per_forest.values())
     std = math.sqrt(sum(e * e for _, e in per_forest.values()))
     if not math.isfinite(value):
@@ -542,8 +633,10 @@ class MuSampler:
 
     d = 1 uses an exact inverse CDF on a ``grid``-cell density; d >= 2 a
     Metropolis random walk on the torus of MCMC_STEPS steps with Gaussian
-    proposals of scale MCMC_STEP, with the normalization (quadrature route)
-    as the unnormalized target.
+    proposals of scale MCMC_STEP, with the normalization (quadrature route,
+    a fixed Gauss rule of one batched contraction per forest) as the
+    unnormalized target.  One target evaluation for a third point in d = 2
+    takes about 0.4 s on a 2-core machine, so a draw takes about 2 minutes.
     """
 
     x: SpatialConfig

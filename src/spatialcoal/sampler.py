@@ -38,7 +38,6 @@ from .normalization import (
     _forest_rates,
     _spectral_sum,
     grad_log_N_spectral,
-    spatial_integral_g,
     spatial_integral_g_batch,
 )
 from .partitions import Partition
@@ -246,7 +245,6 @@ class ExactCoalescentSampler:
 
 @dataclass
 class SIRReport:
-    batch: int
     ess: float
 
 
@@ -267,12 +265,16 @@ def sir_sample(
     """Sequential importance resampling with the non-spatial coalescent as
     proposal.  Its path density is exactly the time factor, so the weight is
     exactly the spatial tree integral."""
-    proposals = []
-    weights = np.empty(batch)
-    for i in range(batch):
-        f, tau = sample_nonspatial_path(table, x.partition, rng)
-        proposals.append((f, tau))
-        weights[i] = 1.0 if f.is_trivial else spatial_integral_g(f, tau, x)
+    proposals = [sample_nonspatial_path(table, x.partition, rng) for _ in range(batch)]
+    weights = np.ones(batch)
+    # one batched tree integral per forest shape drawn
+    rows: dict[Forest, list[int]] = {}
+    for i, (f, _) in enumerate(proposals):
+        if not f.is_trivial:
+            rows.setdefault(f, []).append(i)
+    for f, idx in rows.items():
+        taus = np.array([proposals[i][1].times for i in idx])
+        weights[idx] = spatial_integral_g_batch(f, taus, x)
     if weights.sum() <= 0:
         raise ArithmeticError("all importance weights vanished")
     ess = float(weights.sum() ** 2 / (weights**2).sum())
@@ -281,7 +283,7 @@ def sir_sample(
         f, tau = proposals[i]
         xi = sample_merge_locations(f, tau, x, rng)
         out.append(DecoratedForest(f, tau, xi))
-    return out, SIRReport(batch=batch, ess=ess)
+    return out, SIRReport(ess=ess)
 
 
 def sample_decorated_forest(
@@ -289,13 +291,12 @@ def sample_decorated_forest(
     table: RateTable,
     rng: np.random.Generator,
     scheme: str = "exact",
-    **kwargs,
 ):
     """One exact draw, or (for scheme "sir") a resampled batch with report."""
     if scheme == "exact":
-        return ExactCoalescentSampler(x, table, **kwargs).sample(rng)
+        return ExactCoalescentSampler(x, table).sample(rng)
     if scheme == "sir":
-        return sir_sample(x, table, rng, **kwargs)
+        return sir_sample(x, table, rng)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 

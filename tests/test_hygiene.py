@@ -34,3 +34,23 @@ def test_modules_import_only_what_they_use():
         for name in unused_imports(path.read_text())
     ]
     assert not found, "unused imports: " + ", ".join(found)
+
+
+def open_keyword_bags(source: str) -> list[str]:
+    """Functions of a module that take a ``**kwargs`` parameter."""
+    return sorted(
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.args.kwarg is not None
+    )
+
+
+def test_no_open_keyword_bags():
+    # every setting a package function takes is a named parameter
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in open_keyword_bags(path.read_text())
+    ]
+    assert not found, "open **kwargs parameters: " + ", ".join(found)

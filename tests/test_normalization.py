@@ -131,6 +131,45 @@ def test_integrate_out_leaves_the_pair():
         np.testing.assert_allclose(batch, want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("t1", [1e-8, 1e-6, 1e-4])
+def test_pair_integral_at_short_times(d, t1):
+    # at displacements of a few standard deviations of p_{2 t1}, where a
+    # truncated Fourier sum rings; the batch mixes in rows past SPLIT_TIME
+    f = pair_forest()
+    sd = math.sqrt(2 * t1)
+    for scale in (0.5, 1.0, 3.0):
+        delta = np.array([scale * sd, 0.5 * scale * sd][:d])
+        x = SpatialConfig.from_points([[0.1] * d, list(0.1 + delta)])
+        want = torus_kernel(2 * t1, delta)
+        got = spatial_integral_g(f, TimeDecoration((t1,)), x)
+        assert abs(got - want) <= 1e-12 * want
+        taus = np.array([[t1], [0.5], [t1 * 1.5]])
+        batch = _contract(f, taus, x)
+        assert abs(batch[0] - want) <= 1e-12 * want
+        want_long = torus_kernel(1.0, delta)
+        assert abs(batch[1] - want_long) <= 1e-12 * want_long
+
+
+def test_marginal_triple_matches_pair_reference_d2():
+    # integrating leaf 3 out of a triple leaves the pair; the cherries that
+    # carry leaf 3 reach the pair's law through branches of any length
+    x3 = SpatialConfig.from_points([[0.1, 0.1], [0.4, 0.1], [0.7, 0.7]])
+    third = x3.partition.blocks[2]
+    got = normalization_N(x3, KINGMAN3, integrate_out=third).value
+    want = quad_pair_reference(0.3, 1.0, 2)
+    assert abs(got - want) <= 1e-8 * want
+
+
+@pytest.mark.parametrize("lam", [1.0, 3.0])
+@pytest.mark.parametrize("delta", [1e-3, 0.1, 0.5])
+def test_pair_normalization_N_matches_closed_form(delta, lam):
+    x = SpatialConfig.from_points([[0.1], [0.1 + delta]])
+    got = normalization_N(x, pair_table(lam)).value
+    want = float(pair_normalization_1d(delta, lam))
+    assert abs(got - want) <= 1e-8 * want
+
+
 def test_single_lineage_normalization_is_one():
     x = SpatialConfig.from_points([[0.3]])
     assert normalization_N(x, KINGMAN2).value == 1.0
@@ -220,7 +259,7 @@ def test_spectral_sum_over_budget_fails_fast():
 
 def test_triple_normalization_quadrature_vs_spectral():
     x = SpatialConfig.from_points([[0.1], [0.35], [0.7]])
-    est = normalization_N(x, KINGMAN3, quad_epsrel=1e-4)
+    est = normalization_N(x, KINGMAN3)
     spec = normalization_N_spectral(x, KINGMAN3)
     assert est.value == pytest.approx(spec, rel=1e-3)
 
