@@ -23,7 +23,9 @@ from .forests import (
     enumerate_forests,
 )
 from .kernels import (
+    AUTO,
     SpatialConfig,
+    _kernel_1d,
     _offset_range,
     euclidean_tree_integral,
     torus_bridge_offset,
@@ -47,6 +49,7 @@ DRIFT_GRID = 512  # the pair drift's FFT grid per axis
 DRIFT_CUTOFF = 255  # and its frequency cutoff
 SDE_T_MAX = 50.0  # censoring time of the pair-separation diffusion
 SDE_STEP_CAP = 0.05  # its step is at most SDE_STEP_CAP r^2 at separation r
+RESIDUAL_BLOCK_ELEMENTS = 2**16  # image-sum terms per pair-law kernel call
 
 
 @dataclass
@@ -381,6 +384,14 @@ class PairDriftField:
     with multilinear interpolation in between.  The grid must fit the
     package's element budget, SPECTRAL_MAX_ELEMENTS, so d = 3 is refused
     before anything is allocated.
+
+    ``table`` has shape (DRIFT_GRID^d, d + 1).  Row j is the grid node
+    whose C-order flat index is j, that is node (i_1, ..., i_d) at
+    displacement (i_1, ..., i_d) / DRIFT_GRID; column 0 holds N there and
+    column 1 + c holds dN/d(delta_c).  ``grad_log_N`` visits the 2^d corners
+    of a point's cell in ``itertools.product((0, 1), repeat=d)`` order,
+    weights each corner by the product over c of (1 - f_c) or f_c in
+    coordinate order, and adds the corners up one after another.
     """
 
     def __init__(self, table: RateTable, d: int):
@@ -412,37 +423,37 @@ class PairDriftField:
         for c in range(d):
             keep &= np.abs(kc[c]) <= cutoff
         coeff = np.where(keep, rate / (lam + 4.0 * math.pi**2 * k2), 0.0)
-        fftn = np.fft.ifftn
-        self.N = np.real(fftn(coeff)) * grid**d
-        self.gradN = [
-            np.real(fftn(2j * math.pi * kc[c] * coeff)) * grid**d
-            for c in range(d)
-        ]
-
-    def _interp(self, arr: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        g = self.grid
-        z = wrap(delta) * g
-        i0 = np.floor(z).astype(int) % g
-        frac = z - np.floor(z)
-        out = 0.0
-        for corner in itertools.product((0, 1), repeat=self.d):
-            idx = tuple((i0[:, c] + corner[c]) % g for c in range(self.d))
-            w = np.prod(
-                [frac[:, c] if corner[c] else 1.0 - frac[:, c] for c in range(self.d)],
-                axis=0,
+        values = np.empty(shape + (d + 1,))
+        values[..., 0] = np.real(np.fft.ifftn(coeff)) * grid**d
+        for c in range(d):
+            values[..., 1 + c] = (
+                np.real(np.fft.ifftn(2j * math.pi * kc[c] * coeff)) * grid**d
             )
-            out = out + w * arr[idx]
-        return out
+        self.table = values.reshape(grid**d, d + 1)
+        # row stride of each axis in the flat table
+        self.strides = grid ** np.arange(d - 1, -1, -1)
 
     def grad_log_N(self, delta: np.ndarray) -> np.ndarray:
         """d/d(delta) log N at a batch of displacements, shape (P, d)."""
         delta = np.atleast_2d(delta)
         if self.zero:
             return np.zeros_like(delta)
-        n = self._interp(self.N, delta)
-        return np.stack(
-            [self._interp(self.gradN[c], delta) / n for c in range(self.d)], axis=1
-        )
+        g = self.grid
+        z = wrap(delta) * g
+        cell = np.floor(z)
+        lo = cell.astype(int) % g
+        # per corner bit: each axis's row offset and weight factor
+        rows = (lo * self.strides, (lo + 1) % g * self.strides)
+        frac = z - cell
+        weights = (1.0 - frac, frac)
+        out = 0.0
+        for corner in itertools.product((0, 1), repeat=self.d):
+            idx, w = rows[corner[0]][:, 0], weights[corner[0]][:, 0]
+            for c in range(1, self.d):
+                idx = idx + rows[corner[c]][:, c]
+                w = w * weights[corner[c]][:, c]
+            out = out + w[:, None] * self.table[idx]
+        return out[:, 1:] / out[:, :1]
 
 
 def pair_attraction(delta: np.ndarray, table: RateTable) -> np.ndarray:
@@ -484,8 +495,6 @@ def pair_residual_times(
     Inverse-CDF sampling on the uniformized time variable u = 1 - e^(-lam s),
     under which the density is proportional to the heat-kernel factor.
     """
-    from .kernels import AUTO, _kernel_1d
-
     deltas = np.atleast_2d(deltas)
     n, d = deltas.shape
     lam = table.total(2)
@@ -499,13 +508,19 @@ def pair_residual_times(
     edges = np.geomspace(s_lo, s_hi, 2 * TIME_GRID + 1)
     mids = np.sqrt(edges[:-1] * edges[1:])
     widths = np.diff(edges)
+    # scalar math.exp per cell: np.exp may round differently in the last
+    # bit, and seeded artifacts pin these draws bit for bit
+    lead = np.array([math.exp(-lam * s) * widths[i] for i, s in enumerate(mids)])
+    # time cells per kernel call, so a call's image-sum terms stay in budget
+    step = max(1, RESIDUAL_BLOCK_ELEMENTS // (n * (2 * AUTO.cutoff + 1)))
     w = np.empty((mids.size, n))
-    for i, s in enumerate(mids):
-        row = np.full(n, math.exp(-lam * s) * widths[i])
+    for b in range(0, mids.size, step):
+        cells = slice(b, b + step)
+        block = lead[cells, None]
         for c in range(d):
-            row = row * _kernel_1d(2.0 * s, deltas[:, c], AUTO)
-        w[i] = row
-    cs = np.cumsum(w, axis=0)
+            block = block * _kernel_1d(2.0 * mids[cells, None], deltas[:, c], AUTO)
+        w[cells] = block
+    cs = np.cumsum(w, axis=0, out=w)
     u = rng.uniform(size=n) * cs[-1]
     idx = (cs < u[None, :]).sum(axis=0)
     return edges[idx] + rng.uniform(size=n) * widths[idx]
@@ -527,39 +542,39 @@ def pair_separation_run(
     so by the Markov property the remaining merge time at the stopped
     displacement is drawn from the exact pair law and added.  Paths still
     apart at SDE_T_MAX are censored there and report SDE_T_MAX.
+
+    The active set is kept compact: ``ids`` (path numbers, ascending), ``W``
+    and ``t`` hold only the paths still running and shrink by a boolean
+    mask when paths stop or expire.  Each step draws its normals once, one
+    row per active path in ascending path order.
     """
     d = np.atleast_1d(delta0).size
     field = PairDriftField(table, d)
+    ids = np.arange(n_paths)
     W = np.tile(np.atleast_1d(delta0), (n_paths, 1)).astype(float)
     t = np.zeros(n_paths)
     out = np.full(n_paths, SDE_T_MAX)
     stopped = np.full((n_paths, d), np.nan)
-    active = np.ones(n_paths, dtype=bool)
-    while active.any():
-        Wa = torus_displacement(W[active], np.zeros(d))
-        r = np.linalg.norm(Wa, axis=1)
+    while ids.size:
+        W = torus_displacement(W, 0.0)
+        r = np.linalg.norm(W, axis=1)
         done = r < merge_radius
         if done.any():
-            ids = np.flatnonzero(active)[done]
-            out[ids] = t[ids]
-            stopped[ids] = Wa[done]
-            active[ids] = False
-            Wa = Wa[~done]
-            r = r[~done]
-            if Wa.size == 0:
-                continue
+            out[ids[done]] = t[done]
+            stopped[ids[done]] = W[done]
+            run = ~done
+            ids, W, t, r = ids[run], W[run], t[run], r[run]
+            if not ids.size:
+                break
         # shrink the step near the diagonal: drift ~ 1/r must stay resolved
         dts = np.minimum(dt, SDE_STEP_CAP * r**2)
-        drift = 2.0 * field.grad_log_N(Wa)
-        Wa = Wa + drift * dts[:, None] + np.sqrt(2.0 * dts)[:, None] * rng.normal(
-            size=Wa.shape
-        )
-        ids = np.flatnonzero(active)
-        W[ids] = wrap(Wa)
-        t[ids] += dts
-        expire = t[ids] >= SDE_T_MAX
-        if expire.any():
-            active[ids[expire]] = False
+        drift = 2.0 * field.grad_log_N(W)
+        noise = np.sqrt(2.0 * dts)[:, None] * rng.normal(size=W.shape)
+        W = wrap(W + drift * dts[:, None] + noise)
+        t = t + dts
+        run = t < SDE_T_MAX
+        if not run.all():
+            ids, W, t = ids[run], W[run], t[run]
     hit = np.isfinite(stopped[:, 0])
     if hit.any():
         out[hit] += pair_residual_times(stopped[hit], table, rng)

@@ -54,3 +54,64 @@ def test_no_open_keyword_bags():
         for name in open_keyword_bags(path.read_text())
     ]
     assert not found, "open **kwargs parameters: " + ", ".join(found)
+
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def module_constant(tree: ast.Module, name: str):
+    """The literal value bound to a top-level name of a parsed module."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise KeyError(name)
+
+
+def module_definitions(layer: str) -> tuple[set[str], dict[str, set[str]]]:
+    """Public top-level functions and each class's methods of a package module."""
+    tree = ast.parse((PACKAGE / f"{layer}.py").read_text())
+    functions = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    classes = {
+        node.name: {
+            item.name for item in node.body if isinstance(item, ast.FunctionDef)
+        }
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    return functions, classes
+
+
+def test_benchmark_trace_hooks_name_package_code():
+    # the tracer wraps these by name: a renamed method makes it raise, and a
+    # renamed function makes its metric read 0 s
+    tree = ast.parse(TRACING.read_text())
+    methods = module_constant(tree, "METHODS")
+    metrics = module_constant(tree, "_FUNCTION_METRICS")
+    missing = []
+    for layer, classes in methods.items():
+        _, defined = module_definitions(layer)
+        missing += [
+            f"{layer}.{cls}.{meth}"
+            for cls, meths in classes.items()
+            for meth in meths
+            if meth not in defined.get(cls, ())
+        ]
+    for _, _, spans in metrics.values():
+        for span in spans:
+            layer, *rest = span.split(".")
+            functions, _ = module_definitions(layer)
+            if len(rest) == 1:
+                ok = rest[0] in functions
+            else:
+                ok = rest[1] in methods.get(layer, {}).get(rest[0], ())
+            if not ok:
+                missing.append(span)
+    assert not missing, "trace hooks without a package definition: " + ", ".join(
+        missing
+    )

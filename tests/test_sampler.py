@@ -1,19 +1,35 @@
 """Exact coalescent sampling, path filling, and the drift-SDE route."""
 
+import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from spatialcoal.kernels import SpatialConfig, torus_displacement, torus_kernel
+from spatialcoal.kernels import (
+    AUTO,
+    SpatialConfig,
+    _kernel_1d,
+    torus_displacement,
+    torus_kernel,
+    wrap,
+)
 from spatialcoal.measures import LambdaMeasure, build_rate_table
+from spatialcoal.partitions import Partition
 from spatialcoal.sampler import (
+    DRIFT_CUTOFF,
+    DRIFT_GRID,
+    SDE_STEP_CAP,
+    SDE_T_MAX,
+    TIME_GRID,
     ExactCoalescentSampler,
     PairDriftField,
     pair_attraction,
     pair_residual_times,
+    pair_separation_run,
     sample_decorated_forest,
     sample_paths,
     sde_sample,
@@ -48,9 +64,156 @@ def pair_time_cdf(delta, d=1):
 def test_pair_residual_times_match_quadrature_cdf():
     rng = np.random.default_rng(0)
     delta = 0.3
-    times = pair_residual_times(np.full((3000, 1), delta), KINGMAN2, rng)
+    # tracemalloc counts numpy buffers: the kernel is evaluated in blocks of
+    # time cells, never over all cells x rows x images at once (600 MB here)
+    tracemalloc.start()
+    try:
+        times = pair_residual_times(np.full((3000, 1), delta), KINGMAN2, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
     stat, p = ks_against_cdf(times, pair_time_cdf(delta))
     assert p > 0.005
+
+
+class ReferenceDriftField:
+    """The pair drift as one grid per array, interpolated one array at a time."""
+
+    def __init__(self, table, d):
+        grid, cutoff = DRIFT_GRID, DRIFT_CUTOFF
+        self.d, self.grid = d, grid
+        lam = table.total(2)
+        rate = table.transition_rate(
+            Partition.singletons([1, 2]), Partition([{1, 2}])
+        )
+        freqs = np.fft.fftfreq(grid, d=1.0 / grid)
+        shape = (grid,) * d
+        k2 = np.zeros(shape)
+        kc = []
+        for c in range(d):
+            kg = freqs.reshape([-1 if i == c else 1 for i in range(d)])
+            kc.append(np.broadcast_to(kg, shape))
+            k2 = k2 + kg**2
+        keep = np.ones(shape, dtype=bool)
+        for c in range(d):
+            keep &= np.abs(kc[c]) <= cutoff
+        coeff = np.where(keep, rate / (lam + 4.0 * math.pi**2 * k2), 0.0)
+        self.N = np.real(np.fft.ifftn(coeff)) * grid**d
+        self.gradN = [
+            np.real(np.fft.ifftn(2j * math.pi * kc[c] * coeff)) * grid**d
+            for c in range(d)
+        ]
+
+    def _interp(self, arr, delta):
+        g = self.grid
+        z = wrap(delta) * g
+        i0 = np.floor(z).astype(int) % g
+        frac = z - np.floor(z)
+        out = 0.0
+        for corner in itertools.product((0, 1), repeat=self.d):
+            idx = tuple((i0[:, c] + corner[c]) % g for c in range(self.d))
+            w = np.prod(
+                [frac[:, c] if corner[c] else 1.0 - frac[:, c] for c in range(self.d)],
+                axis=0,
+            )
+            out = out + w * arr[idx]
+        return out
+
+    def grad_log_N(self, delta):
+        delta = np.atleast_2d(delta)
+        n = self._interp(self.N, delta)
+        return np.stack(
+            [self._interp(self.gradN[c], delta) / n for c in range(self.d)], axis=1
+        )
+
+
+def reference_residual_times(deltas, table, rng):
+    """The pair-law inverse CDF, one scalar kernel call per cell and axis."""
+    n, d = deltas.shape
+    lam = table.total(2)
+    sep2 = float(np.min(np.sum(deltas**2, axis=1)))
+    edges = np.geomspace(max(sep2 / 100.0, 1e-14), 60.0 / lam, 2 * TIME_GRID + 1)
+    mids = np.sqrt(edges[:-1] * edges[1:])
+    widths = np.diff(edges)
+    w = np.empty((mids.size, n))
+    for i, s in enumerate(mids):
+        row = np.full(n, math.exp(-lam * s) * widths[i])
+        for c in range(d):
+            row = row * _kernel_1d(2.0 * s, deltas[:, c], AUTO)
+        w[i] = row
+    cs = np.cumsum(w, axis=0)
+    u = rng.uniform(size=n) * cs[-1]
+    idx = (cs < u[None, :]).sum(axis=0)
+    return edges[idx] + rng.uniform(size=n) * widths[idx]
+
+
+def reference_separation_run(delta0, table, dt, merge_radius, n_paths, rng):
+    """The pair-separation SDE over the full path set and an active mask."""
+    d = delta0.size
+    field = ReferenceDriftField(table, d)
+    W = np.tile(delta0, (n_paths, 1)).astype(float)
+    t = np.zeros(n_paths)
+    out = np.full(n_paths, SDE_T_MAX)
+    stopped = np.full((n_paths, d), np.nan)
+    active = np.ones(n_paths, dtype=bool)
+    while active.any():
+        Wa = torus_displacement(W[active], np.zeros(d))
+        r = np.linalg.norm(Wa, axis=1)
+        done = r < merge_radius
+        if done.any():
+            ids = np.flatnonzero(active)[done]
+            out[ids] = t[ids]
+            stopped[ids] = Wa[done]
+            active[ids] = False
+            Wa = Wa[~done]
+            r = r[~done]
+            if Wa.size == 0:
+                continue
+        dts = np.minimum(dt, SDE_STEP_CAP * r**2)
+        drift = 2.0 * field.grad_log_N(Wa)
+        Wa = Wa + drift * dts[:, None] + np.sqrt(2.0 * dts)[:, None] * rng.normal(
+            size=Wa.shape
+        )
+        ids = np.flatnonzero(active)
+        W[ids] = wrap(Wa)
+        t[ids] += dts
+        expire = t[ids] >= SDE_T_MAX
+        if expire.any():
+            active[ids[expire]] = False
+    hit = np.isfinite(stopped[:, 0])
+    if hit.any():
+        out[hit] += reference_residual_times(stopped[hit], table, rng)
+    return out
+
+
+def test_pair_drift_table_matches_per_array_interpolation():
+    rng = np.random.default_rng(8)
+    g = DRIFT_GRID
+    deltas = rng.uniform(-1.0, 1.5, size=(2000, 2))
+    deltas[:200] = rng.integers(-g, 2 * g, size=(200, 2)) / g  # grid nodes
+    deltas[200:300] = rng.choice([0.5, -0.5, 0.0, -0.25], size=(100, 2))
+    deltas[300:400] = -rng.uniform(0.0, 0.5, size=(100, 2))
+    deltas[400:500] = 1.0 - rng.uniform(0.0, 1e-12, size=(100, 2))
+    deltas[500:520] = np.nextafter(1.0, 0.0)
+    got = PairDriftField(KINGMAN2, 2).grad_log_N(deltas)
+    assert np.array_equal(got, ReferenceDriftField(KINGMAN2, 2).grad_log_N(deltas))
+
+
+def test_pair_residual_times_match_per_cell_loop():
+    rng = np.random.default_rng(9)
+    for d in (1, 2):
+        deltas = rng.uniform(-0.5, 0.5, size=(60, d))
+        got = pair_residual_times(deltas, KINGMAN2, np.random.default_rng(d))
+        want = reference_residual_times(deltas, KINGMAN2, np.random.default_rng(d))
+        assert np.array_equal(got, want)
+
+
+def test_pair_separation_run_matches_masked_loop():
+    args = (np.array([0.25, 0.1]), KINGMAN2, 1e-3, 2e-2, 8)
+    got = pair_separation_run(*args, rng=np.random.default_rng(0))
+    want = reference_separation_run(*args, rng=np.random.default_rng(0))
+    assert np.array_equal(got, want)
 
 
 def test_exact_sampler_merge_times_match_pair_law():
