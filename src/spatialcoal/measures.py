@@ -170,6 +170,15 @@ class RateTable:
     rates: dict[MergerSignature, float]
     n_max: int
 
+    def __post_init__(self) -> None:
+        self._totals = {
+            n: sum(
+                count_mergers(n, sig) * self.rates.get(sig, 0.0)
+                for sig in signatures_for(n)
+            )
+            for n in range(2, self.n_max + 1)
+        }
+
     def rate(self, sig: MergerSignature) -> float:
         return self.rates.get(sig, 0.0)
 
@@ -177,7 +186,7 @@ class RateTable:
         return self.rate(merger_signature(p, q))
 
     def total(self, n: int) -> float:
-        """Total jump rate while at n lineages.
+        """Total jump rate while at n lineages, as of the table's construction.
 
         Raises ``ValueError`` above ``n_max``, where the table holds no
         rates: reading 0 there would make the configuration absorbing.
@@ -188,10 +197,7 @@ class RateTable:
             raise ValueError(
                 f"rate table covers at most {self.n_max} lineages, not {n}"
             )
-        return sum(
-            count_mergers(n, sig) * self.rates.get(sig, 0.0)
-            for sig in signatures_for(n)
-        )
+        return self._totals[n]
 
     def is_absorbing(self, p: Partition) -> bool:
         return self.total(len(p)) == 0.0

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
+from scipy import fft as sp_fft
 
 from .forests import Forest, Node, TimeDecoration, enumerate_forests
 from .kernels import (
@@ -159,9 +159,6 @@ def _contract_rows(
         combos = np.array(list(itertools.product(*offsets)))
         images.update({u: (below[0], combos[:, j]) for j, u in enumerate(below)})
 
-    def conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return signal.fftconvolve(a, b, axes=1)[:, K : 3 * K + 1]
-
     out = np.ones(T)
     for c in range(x.d):
         y = {u: float(x.positions[u][c]) for u in f.leaves}
@@ -188,15 +185,27 @@ def _contract_rows(
         for v in long:
             ms = [np.exp(length * decay) * up.pop(u) for u, length in kids[v]]
             if v in parent:
-                up[v] = functools.reduce(conv, ms)
+                up[v] = functools.reduce(_convolve_modes, ms)
             else:  # a root needs only k = 0 of the product of its messages
                 *rest, last = ms
-                acc = functools.reduce(conv, rest) if rest else unit
+                acc = functools.reduce(_convolve_modes, rest) if rest else unit
                 out = out * (acc * last[:, ::-1]).sum(1).real
         for v in top:
             if v not in parent:
                 out = out * weight[v].sum(1)
     return out
+
+
+def _convolve_modes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, modes -K..K of the product of two complex Fourier series
+    with modes -K..K (rows broadcast): the operations, in order, that
+    ``scipy.signal.fftconvolve(a, b, axes=1)[:, K:3K+1]`` performs on complex
+    input, without its argument handling."""
+    K = (a.shape[1] - 1) // 2
+    n = a.shape[1] + b.shape[1] - 1
+    m = sp_fft.next_fast_len(n, False)
+    spec = sp_fft.fftn(a, [m], axes=[1]) * sp_fft.fftn(b, [m], axes=[1])
+    return sp_fft.ifftn(spec, [m], axes=[1])[:, :n][:, K : 3 * K + 1]
 
 
 def _image_series(w: np.ndarray, xbar: np.ndarray, K: int) -> np.ndarray:
@@ -601,7 +610,8 @@ def mu_density_grid(
 
     The density in the new position comes from the Fourier coefficients of
     the tree integral with the new leaf left free; the level-time integrals
-    are in closed form, so no quadrature error enters.
+    are in closed form, so no quadrature error enters.  The coefficients are
+    folded onto the grid and summed by one FFT (``mu_coefficient_grid_eval``).
     """
     coeffs = mu_coefficient_grid_eval(mu_coefficient_vector(x, table), grid)
     dens = np.maximum(coeffs, 0.0)
@@ -609,11 +619,18 @@ def mu_density_grid(
 
 
 def mu_coefficient_grid_eval(coeffs: np.ndarray, grid: int) -> np.ndarray:
-    """Evaluate sum_k C[k] exp(-2 pi i k y) on the uniform grid of [0, 1)."""
+    """Evaluate sum_k C[k] exp(-2 pi i k y) at y = j / grid, j < grid, as one
+    FFT of length ``grid``.
+
+    At those points mode k has the phase of mode k mod grid, so each C[k]
+    is added onto residue k mod grid before the transform.  Adding, not
+    assigning, keeps the sum exact on grids of fewer than 2K + 1 cells,
+    where several modes share a residue.
+    """
     K = (coeffs.size - 1) // 2
-    ys = np.arange(grid) / grid
-    kf = np.arange(-K, K + 1)
-    return (coeffs[None, :] * np.exp(-2j * math.pi * ys[:, None] * kf)).sum(1).real
+    folded = np.zeros(grid, dtype=complex)
+    np.add.at(folded, np.arange(-K, K + 1) % grid, coeffs)
+    return np.fft.fft(folded).real
 
 
 def sample_from_grid_density(dens: np.ndarray, rng: np.random.Generator) -> float:
@@ -631,7 +648,8 @@ MCMC_STEP = 0.12
 class MuSampler:
     """Sampler for the conditional resampling measure given placed positions.
 
-    d = 1 uses an exact inverse CDF on a ``grid``-cell density; d >= 2 a
+    d = 1 uses an exact inverse CDF on a ``grid``-cell density, which one FFT
+    of the folded Fourier coefficients evaluates (``mu_density_grid``); d >= 2 a
     Metropolis random walk on the torus of MCMC_STEPS steps with Gaussian
     proposals of scale MCMC_STEP, with the normalization (quadrature route,
     a fixed Gauss rule of one batched contraction per forest) as the

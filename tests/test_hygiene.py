@@ -1,6 +1,8 @@
 """Source hygiene of the package modules."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import spatialcoal
@@ -115,3 +117,17 @@ def test_benchmark_trace_hooks_name_package_code():
     assert not missing, "trace hooks without a package definition: " + ", ".join(
         missing
     )
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # scipy.signal costs about 4 MiB of RSS and 0.1-0.3 s of import on
+    # every run, and the package needs none of it
+    code = "import sys, spatialcoal.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=PACKAGE.parent,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

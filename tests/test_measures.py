@@ -21,7 +21,12 @@ from spatialcoal.measures import (
     sample_nonspatial_path,
     xi_rate,
 )
-from spatialcoal.partitions import MergerSignature, Partition
+from spatialcoal.partitions import (
+    MergerSignature,
+    Partition,
+    count_mergers,
+    signatures_for,
+)
 
 
 def test_kingman_rates():
@@ -95,16 +100,16 @@ def test_lambda_to_xi_agrees_on_atomic_measures():
         lambda_to_xi(LambdaMeasure.uniform())
 
 
-@pytest.mark.parametrize(
-    "measure",
-    [
-        LambdaMeasure.kingman(),
-        LambdaMeasure.uniform(),
-        LambdaMeasure.beta(2.0, 3.0),
-        LambdaMeasure(atoms=((0.5, 1.0),)),
-        XiMeasure(kingman_mass=0.3, atoms=(((0.5, 0.5), 1.0),)),
-    ],
-)
+MEASURES = [
+    LambdaMeasure.kingman(),
+    LambdaMeasure.uniform(),
+    LambdaMeasure.beta(2.0, 3.0),
+    LambdaMeasure(atoms=((0.5, 1.0),)),
+    XiMeasure(kingman_mass=0.3, atoms=(((0.5, 0.5), 1.0),)),
+]
+
+
+@pytest.mark.parametrize("measure", MEASURES)
 def test_consistency_recursion_holds(measure):
     table = build_rate_table(measure, 8)
     assert check_consistency(table).passed
@@ -126,6 +131,17 @@ def test_total_rate_kingman():
     assert table.is_absorbing(Partition([{1, 2, 3}]))
     with pytest.raises(ValueError):
         table.total(9)
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+def test_total_rate_is_the_rate_sum(measure):
+    # the totals are summed once at construction, in the order of
+    # signatures_for, so they equal a fresh sum to the last bit
+    table = build_rate_table(measure, 8)
+    for n in range(2, 9):
+        assert table.total(n) == sum(
+            count_mergers(n, sig) * table.rate(sig) for sig in signatures_for(n)
+        )
 
 
 def test_nonspatial_path_holding_times():

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, signal
 
 from spatialcoal.experiments import quad_pair_reference, stationary_pair_separation_cdf
 from spatialcoal.forests import Forest, TimeDecoration
@@ -15,13 +15,17 @@ from spatialcoal.measures import LambdaMeasure, RateTable, build_rate_table
 from spatialcoal.normalization import (
     SPECTRAL_MAX_ELEMENTS,
     _contract,
+    _convolve_modes,
     extended_config,
     freq_cutoff,
     grad_log_N_spectral,
+    mu_coefficient_grid_eval,
+    mu_coefficient_vector,
     mu_density_grid,
     normalization_N,
     normalization_N_spectral,
     pair_normalization_1d,
+    sample_from_grid_density,
     spatial_integral_g,
     spatial_integral_g_batch,
 )
@@ -301,3 +305,51 @@ def test_mu_density_normalized():
     dens = mu_density_grid(x, KINGMAN3, grid=512)
     assert dens.mean() == pytest.approx(1.0, rel=1e-12)
     assert dens.min() >= 0.0
+
+
+def dense_grid_eval(coeffs, grid):
+    """The mu grid as a direct sum of 2K + 1 complex exponentials per point."""
+    K = (coeffs.size - 1) // 2
+    ys = np.arange(grid) / grid
+    kf = np.arange(-K, K + 1)
+    return (coeffs[None, :] * np.exp(-2j * math.pi * ys[:, None] * kf)).sum(1).real
+
+
+MU_CONFIGS = ([[0.2], [0.6]], [[0.01], [0.02]], [[0.1], [0.9]])
+
+
+@pytest.mark.parametrize("grid", [32, 100, 128, 129, 512, 4096])
+def test_mu_grid_fft_matches_dense_sum(grid):
+    # grids below 2K + 1 = 129 cells need the coefficients folded, not
+    # assigned, onto their residues
+    for pts in MU_CONFIGS:
+        coeffs = mu_coefficient_vector(SpatialConfig.from_points(pts), KINGMAN3)
+        dense = dense_grid_eval(coeffs, grid)
+        fast = mu_coefficient_grid_eval(coeffs, grid)
+        assert np.abs(fast - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+def test_mu_grid_draws_match_dense_sum():
+    coeffs = mu_coefficient_vector(SpatialConfig.from_points(MU_CONFIGS[0]), KINGMAN3)
+    dens = []
+    for values in (dense_grid_eval(coeffs, 4096), mu_coefficient_grid_eval(coeffs, 4096)):
+        v = np.maximum(values, 0.0)
+        dens.append(v / v.sum() * 4096)
+    rngs = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(5000):
+        assert sample_from_grid_density(dens[0], rngs[0]) == sample_from_grid_density(
+            dens[1], rngs[1]
+        )
+
+
+@pytest.mark.parametrize("K", [4, 10, 16])
+def test_convolve_modes_matches_fftconvolve(K):
+    rng = np.random.default_rng(K)
+
+    def modes(rows):
+        return rng.normal(size=(rows, 2 * K + 1)) + 1j * rng.normal(size=(rows, 2 * K + 1))
+
+    a, b = modes(37), modes(1)
+    for x, y in ((a, b), (b, a), (a, modes(37))):
+        expected = signal.fftconvolve(x, y, axes=1)[:, K : 3 * K + 1]
+        assert np.array_equal(_convolve_modes(x, y), expected)
