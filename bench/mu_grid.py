@@ -1,13 +1,14 @@
 """Layer timings of the d = 1 resampling density and of the package import.
 
     python3 bench/mu_grid.py --before OLD_CHECKOUT [--after NEW_CHECKOUT]
-        [--repeats 7] [--out BENCH_mu_grid.json]
+        [--out BENCH_mu_grid.json]
 
 Each checkout is the root of a spatialcoal source tree; --after defaults to
-the tree this script sits in.  Every sample runs in a fresh interpreter with
-single-threaded BLAS/OpenMP and PYTHONPATH=<checkout>/src, alternating
-between the two trees, so import time, peak RSS and the cold sampler are
-measured as a user meets them.  One sample records:
+the tree this script sits in.  Each tree gets REPEATS samples.  Every sample
+runs in a fresh interpreter with single-threaded BLAS/OpenMP and
+PYTHONPATH=<checkout>/src, alternating between the two trees, so import
+time, peak RSS and the cold sampler are measured as a user meets them.  One
+sample records:
 
 - import_s: wall time of ``import spatialcoal.cli``;
 - import_maxrss_mib: ``ru_maxrss`` right after that import;
@@ -34,6 +35,7 @@ from pathlib import Path
 
 GRID = 4096
 GRID_CALLS = 21
+REPEATS = 7
 ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 CHILD = f"""
@@ -75,7 +77,7 @@ def summary(runs: list[dict]) -> dict:
     out = {}
     for name in runs[0]:
         vals = [r[name] for r in runs]
-        q1, _, q3 = statistics.quantiles(vals, n=4) if len(vals) > 1 else vals * 3
+        q1, _, q3 = statistics.quantiles(vals, n=4)
         out[name] = {"median": statistics.median(vals), "q1": q1, "q3": q3,
                      "samples": vals}
     return out
@@ -86,17 +88,14 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--before", type=Path, required=True)
     ap.add_argument("--after", type=Path, default=here)
-    ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--out", type=Path, default=here / "BENCH_mu_grid.json")
     args = ap.parse_args()
-    if args.repeats < 1:
-        ap.error("--repeats must be >= 1")
     trees = {"before": args.before.resolve(), "after": args.after.resolve()}
     for tree in trees.values():
         if not (tree / "src" / "spatialcoal" / "cli.py").is_file():
             ap.error(f"{tree} is not a spatialcoal checkout")
     runs = {label: [] for label in trees}
-    for i in range(args.repeats):
+    for i in range(REPEATS):
         order = list(trees) if i % 2 == 0 else list(trees)[::-1]
         for label in order:
             runs[label].append(sample(trees[label]))
@@ -108,7 +107,7 @@ def main() -> int:
             "python": platform.python_version(),
         },
         "grid": GRID,
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         **{label: summary(r) for label, r in runs.items()},
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n")

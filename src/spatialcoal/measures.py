@@ -6,7 +6,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import special
@@ -167,10 +168,12 @@ def lambda_to_xi(L: LambdaMeasure) -> XiMeasure:
 class RateTable:
     """All merger rates up to ``n_max`` plus the total jump rates."""
 
-    rates: dict[MergerSignature, float]
+    rates: Mapping[MergerSignature, float]
     n_max: int
 
     def __post_init__(self) -> None:
+        # read-only, so the totals summed here cannot go stale
+        self.rates = MappingProxyType(dict(self.rates))
         self._totals = {
             n: sum(
                 count_mergers(n, sig) * self.rates.get(sig, 0.0)
@@ -186,7 +189,7 @@ class RateTable:
         return self.rate(merger_signature(p, q))
 
     def total(self, n: int) -> float:
-        """Total jump rate while at n lineages, as of the table's construction.
+        """Total jump rate while at n lineages.
 
         Raises ``ValueError`` above ``n_max``, where the table holds no
         rates: reading 0 there would make the configuration absorbing.

@@ -205,7 +205,7 @@ def _convolve_modes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = a.shape[1] + b.shape[1] - 1
     m = sp_fft.next_fast_len(n, False)
     spec = sp_fft.fftn(a, [m], axes=[1]) * sp_fft.fftn(b, [m], axes=[1])
-    return sp_fft.ifftn(spec, [m], axes=[1])[:, :n][:, K : 3 * K + 1]
+    return sp_fft.ifftn(spec, [m], axes=[1])[:, K : 3 * K + 1]
 
 
 def _image_series(w: np.ndarray, xbar: np.ndarray, K: int) -> np.ndarray:

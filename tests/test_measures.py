@@ -10,6 +10,7 @@ from scipy import integrate
 from spatialcoal.forests import Forest, TimeDecoration
 from spatialcoal.measures import (
     LambdaMeasure,
+    RateTable,
     XiMeasure,
     build_rate_table,
     check_consistency,
@@ -117,7 +118,8 @@ def test_consistency_recursion_holds(measure):
 
 def test_consistency_detects_perturbation():
     table = build_rate_table(LambdaMeasure.kingman(), 5)
-    table.rates[MergerSignature(4, (3,))] += 1e-3
+    sig = MergerSignature(4, (3,))
+    table = RateTable({**table.rates, sig: table.rates[sig] + 1e-3}, table.n_max)
     report = check_consistency(table)
     assert not report.passed
     assert report.failures
