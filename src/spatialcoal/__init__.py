@@ -22,7 +22,7 @@ from .measures import (
 from .normalization import normalization_N, sample_mu
 from .partitions import MergerSignature, Partition, count_mergers
 from .reversal import resample_levels, simulate_reversal
-from .sampler import ExactCoalescentSampler, sample_decorated_forest, sde_sample
+from .sampler import ExactCoalescentSampler, sde_sample
 from .stats import ks_two_sample
 
 __version__ = "0.1.0"

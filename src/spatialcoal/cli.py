@@ -83,9 +83,11 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output directory")
 
 
-METHOD_HELP = {
-    "normalization": "auto (spectral) | quadrature | monte-carlo",
-    "sample-coalescent": "auto (exact) | sir",
+# --method of the subcommands that take one.  auto is the spectral route
+# of normalization and the exact sampler of sample-coalescent.
+METHOD_CHOICES = {
+    "normalization": ("auto", "spectral", "quadrature", "monte-carlo"),
+    "sample-coalescent": ("auto", "sir"),
 }
 
 
@@ -323,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         _common(p)
         p.set_defaults(fn=fn)
-        if name in METHOD_HELP:
-            p.add_argument("--method", default="auto", help=METHOD_HELP[name])
+        if name in METHOD_CHOICES:
+            p.add_argument("--method", default="auto", choices=METHOD_CHOICES[name])
     p = sub.add_parser("check")
     p.add_argument("experiment", choices=EXPERIMENT_NAMES)
     _common(p)

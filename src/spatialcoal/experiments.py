@@ -21,12 +21,7 @@ from .forward import (
     cannings_rate_table,
     cannings_simulate,
 )
-from .kernels import (
-    AUTO,
-    SpatialConfig,
-    _kernel_1d,
-    torus_displacement,
-)
+from .kernels import SpatialConfig, _kernel_1d, torus_displacement
 from .measures import (
     LambdaMeasure,
     RateTable,
@@ -259,7 +254,7 @@ def quad_pair_reference(delta: float, lam: float, d: int) -> float:
         out = 2.0 * u * lam * math.exp(-lam * t)
         for c in range(d):
             sep = delta if c == 0 else 0.0
-            out *= float(_kernel_1d(2.0 * t, np.atleast_1d(sep), AUTO)[0])
+            out *= float(_kernel_1d(2.0 * t, np.atleast_1d(sep))[0])
         return out
 
     val, _ = integrate.quad(integrand, 0.0, np.inf, limit=400)
@@ -276,7 +271,7 @@ def pair_time_cdf(delta: float, table: RateTable, d: int = 1):
     vals = lam * np.exp(-lam * ts)
     for c in range(d):
         sep = delta if c == 0 else 0.0
-        vals = vals * _kernel_1d(2.0 * ts, sep, AUTO)
+        vals = vals * _kernel_1d(2.0 * ts, sep)
     cum = integrate.cumulative_trapezoid(vals, ts, initial=0.0)
     cum /= cum[-1]
 
@@ -682,7 +677,6 @@ def _run_markov_resample(spec: ExperimentSpec) -> TestReport:
         [c_a.count(c) for c in cats],
         [c_b.count(c) for c in cats],
     ]
-    tab = [[max(v, 0) for v in row] for row in tab]
     keep = [j for j in range(len(cats)) if tab[0][j] + tab[1][j] > 0]
     chi = chi2_contingency([[row[j] for j in keep] for row in tab])
     results.append(

@@ -9,8 +9,8 @@ lowest level.  Genealogy extraction walks the event log backward.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -21,60 +21,45 @@ from .sampler import CoalescentPath
 
 @dataclass
 class OffspringLaw:
-    """Exchangeable offspring numbers (O_1, ..., O_N) summing to N.
+    """Exchangeable offspring numbers (O_1, ..., O_N) summing to N, as a
+    uniform random permutation of a fixed vector, so every merger
+    probability is exact (``cannings_p_rates``).
 
     Kinds: "trivial" (everyone has one offspring), "pair-resampling" (one
     uniformly chosen individual has two, another has none), "dirac-family"
-    (a uniform random permutation of a fixed vector), "custom-sampler"
-    (user-supplied callable rng -> vector).
+    (a uniform random permutation of ``vector``).
     """
 
     kind: str
     N: int
     vector: tuple[int, ...] | None = None
-    sampler: Callable | None = None
 
     def __post_init__(self):
         if self.N < 2:
             raise ValueError("population size must be at least 2")
-        if self.kind not in ("trivial", "pair-resampling", "dirac-family", "custom-sampler"):
+        if self.kind not in ("trivial", "pair-resampling", "dirac-family"):
             raise ValueError(f"unknown offspring law {self.kind!r}")
         if self.kind == "dirac-family":
             if self.vector is None or len(self.vector) != self.N:
                 raise ValueError("dirac-family requires a length-N vector")
             if any(v < 0 for v in self.vector) or sum(self.vector) != self.N:
                 raise ValueError("offspring numbers must be nonnegative and sum to N")
-        if self.kind == "custom-sampler" and self.sampler is None:
-            raise ValueError("custom-sampler requires a sampler")
 
-    def base_vector(self) -> tuple[int, ...] | None:
-        """The fixed multiset of offspring numbers, when the law is a uniform
-        permutation of one; None for custom laws."""
+    def base_vector(self) -> tuple[int, ...]:
+        """The fixed multiset of offspring numbers that the law permutes."""
         if self.kind == "trivial":
             return (1,) * self.N
         if self.kind == "pair-resampling":
             return (2, 0) + (1,) * (self.N - 2)
-        if self.kind == "dirac-family":
-            return tuple(self.vector)
-        return None
+        return tuple(self.vector)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "custom-sampler":
-            o = np.asarray(self.sampler(rng), dtype=int)
-            if o.size != self.N or o.sum() != self.N or (o < 0).any():
-                raise ValueError("custom sampler returned an invalid offspring vector")
-            return o
         return np.asarray(rng.permutation(np.array(self.base_vector())))
 
 
 @dataclass
 class CanningsRate:
     value: float
-    std_error: float = 0.0
-
-    @property
-    def exact(self) -> bool:
-        return self.std_error == 0.0
 
 
 def _falling(x: int, k: int) -> int:
@@ -112,17 +97,13 @@ def _permutation_moment(counts: dict[int, int], gs: list) -> float:
     return rec(0, tuple(counts[v] for v in values))
 
 
-def cannings_p_rates(
-    law: OffspringLaw,
-    sig: MergerSignature,
-    rng: np.random.Generator | None = None,
-    mc_draws: int = 10**6,
-) -> CanningsRate:
-    """Per-generation probability of a specific (n, k)-merger in an n-sample.
+def cannings_p_rates(law: OffspringLaw, sig: MergerSignature) -> CanningsRate:
+    """Exact per-generation probability of a specific (n, k)-merger in an
+    n-sample.
 
     p = ((N)_{n'} / (N)_n) * E[(O_1)_{k_1} ... (O_m)_{k_m} O_{m+1} ... O_{n'}]
-    with n' = n - sum(k) + m.  Exact for permutation-of-a-fixed-vector laws,
-    Monte Carlo otherwise.
+    with n' = n - sum(k) + m, the expectation taken over the permutations of
+    the law's base vector by ``_permutation_moment``.
     """
     N = law.N
     if sig.n > N:
@@ -132,24 +113,8 @@ def cannings_p_rates(
     gs = [
         (lambda v, k=k: float(_falling(v, k))) for k in sig.ks
     ] + [float] * (nprime - sig.m)
-    base = law.base_vector()
-    if base is not None:
-        counts: dict[int, int] = {}
-        for v in base:
-            counts[v] = counts.get(v, 0) + 1
-        return CanningsRate(pref * _permutation_moment(counts, gs))
-    rng = rng if rng is not None else np.random.default_rng()
-    vals = np.empty(mc_draws)
-    for i in range(mc_draws):
-        o = law.sample(rng)
-        prod = 1.0
-        for j, g in enumerate(gs):
-            prod *= g(int(o[j]))
-            if prod == 0.0:
-                break
-        vals[i] = prod
-    mean = vals.mean()
-    return CanningsRate(pref * mean, pref * vals.std(ddof=1) / math.sqrt(mc_draws))
+    counts = Counter(law.base_vector())
+    return CanningsRate(pref * _permutation_moment(counts, gs))
 
 
 def cannings_rate_table(law: OffspringLaw, T_N: float, n_max: int) -> RateTable:
@@ -422,77 +387,89 @@ class ExtractedGenealogy:
         return merger_signature(before, self.coalescent.events[0][1])
 
 
-def trace_ancestry(times: np.ndarray, groups: list, n: int):
-    """Backward walk through an event log starting from levels 1..n at time 0.
+def _backward_merges(groups: list, n: int):
+    """The one backward walk of an event log, from levels 1..n at its end.
 
-    Stops once the sample has one ancestor.  Returns the remaining blocks
-    (block -> ancestor level) and the merge history as a list of
-    (backward time, event index, partition after, block -> level map).
+    Each block of the sample sits at the level of its ancestor.  At an event,
+    the blocks at the levels of a group all move to the group's lowest level,
+    and merge there when there are two or more of them.  For every event
+    that merges sample blocks, this yields (event index, block -> ancestor
+    level after all of the event's groups, blocks the event created), so
+    the disjoint groups of one event form one simultaneous merger.  The walk
+    stops once the sample has one ancestor.
     """
     blocks = {frozenset({i}): i for i in range(1, n + 1)}
-    history = []
-    for idx in range(len(times) - 1, -1, -1):
+    for idx in range(len(groups) - 1, -1, -1):
         if len(blocks) <= 1:
-            break
-        bt = -float(times[idx])
+            return
+        created = []
         for g in groups[idx]:
-            gset = set(g)
-            tgt = g[0]
-            involved = [b for b, lvl in blocks.items() if lvl in gset]
+            involved = [b for b, lvl in blocks.items() if lvl in g]
             if not involved:
                 continue
             merged = frozenset().union(*involved)
             for b in involved:
                 del blocks[b]
-            blocks[merged] = tgt
+            blocks[merged] = g[0]
             if len(involved) >= 2:
-                part = Partition(list(blocks.keys()))
-                history.append((bt, idx, part, dict(blocks)))
-    return blocks, history
+                created.append(merged)
+        if created:
+            yield idx, dict(blocks), created
+
+
+def trace_ancestry(times: np.ndarray, groups: list, n: int):
+    """Backward walk through an event log starting from levels 1..n at time 0.
+
+    Returns the sample's blocks after the last merge (block -> ancestor
+    level there) and the merge history, one entry per merging event:
+    (backward time, event index, partition after, block -> level map).
+    Simultaneous mergers of one event are one entry.
+    """
+    history = [
+        (-float(times[idx]), idx, Partition(list(blocks)), blocks)
+        for idx, blocks, _ in _backward_merges(groups, n)
+    ]
+    if not history:
+        return {frozenset({i}): i for i in range(1, n + 1)}, history
+    return history[-1][3], history
 
 
 def extract_genealogy(run: ForwardRun, n: int) -> ExtractedGenealogy:
-    """The spatial coalescent of a sample of the lowest n levels at time 0."""
+    """The spatial coalescent of a sample of the lowest n levels at time 0.
+
+    One ``CoalescentPath`` event per merging event of the run (so a
+    multiple or simultaneous merger is one event), with each created
+    block's merge location, and a path per block read off the recorded
+    level positions, from its birth back to the start of the run.
+    """
     if n < 1 or n > run.n_levels:
         raise ValueError("invalid sample size")
     blocks, history = trace_ancestry(run.times, run.groups, n)
+    merge_at = {idx: (part, lv) for _, idx, part, lv in history}
     initial = Partition.singletons(range(1, n + 1))
-    # lineage positions: walk forward records backward, tracking each block's
-    # ancestor level through the merge history
-    level_of: dict[frozenset, int] = {frozenset({i}): i for i in range(1, n + 1)}
-    merge_at: dict[int, list] = {}
-    for bt, idx, part, lv in history:
-        merge_at.setdefault(idx, []).append((bt, part, lv))
-    paths: dict[frozenset, list[tuple[float, np.ndarray]]] = {
-        b: [(0.0, run.end_positions[lvl - 1])] for b, lvl in level_of.items()
-    }
+    alive = {frozenset({i}): i for i in range(1, n + 1)}
+    paths = {b: [(0.0, run.end_positions[lvl - 1])] for b, lvl in alive.items()}
     events = []
-    alive = dict(level_of)
     for idx in range(len(run.times) - 1, -1, -1):
         bt = -float(run.times[idx])
         pos = run.positions[idx]
         if idx in merge_at:
-            for bt_m, part, lv in sorted(merge_at[idx]):
-                merged_locs = {}
-                new_alive = {}
-                for b, lvl in lv.items():
-                    new_alive[b] = lvl
-                    if b not in alive:  # freshly merged block
-                        merged_locs[b] = pos[lvl - 1].copy()
-                        paths[b] = [(bt_m, pos[lvl - 1].copy())]
-                alive = new_alive
-                events.append((bt_m, part, merged_locs))
+            part, lv = merge_at[idx]
+            merged_locs = {
+                b: pos[lvl - 1].copy() for b, lvl in lv.items() if b not in alive
+            }
+            for b in merged_locs:
+                paths[b] = []
+            alive = lv
+            events.append((bt, part, merged_locs))
         for b, lvl in alive.items():
             paths[b].append((bt, pos[lvl - 1].copy()))
-    cp_paths = {}
-    for b, rec in paths.items():
-        rec = sorted(rec, key=lambda kv: kv[0])
-        cp_paths[b] = (
-            np.array([t for t, _ in rec]),
-            np.array([p for _, p in rec]),
-        )
+    cp_paths = {
+        b: (np.array([t for t, _ in rec]), np.array([p for _, p in rec]))
+        for b, rec in paths.items()
+    }
     cp = CoalescentPath(
-        events=sorted(events, key=lambda e: e[0]),
+        events=events,
         paths=cp_paths,
         meta={"initial_partition": initial, "model": run.meta.get("model")},
     )
@@ -566,36 +543,17 @@ class ForwardHarvester:
 
     def observe(self, n: int):
         """(sample positions now, first-merge backward time, partition after
-        the first merge, merge level positions) for the lowest n levels.
+        the first merge, merge location of each block it created) for the
+        lowest n levels.  The first merge is the first merging event of the
+        backward walk, with all of its simultaneous groups.
 
         Returns None for the merge fields if the trace leaves the buffer.
         """
         sample_pos = self.positions[:n].copy()
-        blocks = {frozenset({i}): i for i in range(1, n + 1)}
-        for idx in range(len(self.ev_times) - 1, -1, -1):
-            groups = self.ev_groups[idx]
-            changed = False
-            merged_any = []
-            for g in groups:
-                gset = set(g)
-                involved = [b for b, lvl in blocks.items() if lvl in gset]
-                if not involved:
-                    continue
-                merged = frozenset().union(*involved)
-                for b in involved:
-                    del blocks[b]
-                blocks[merged] = g[0]
-                if len(involved) >= 2:
-                    merged_any.append(merged)
-                changed = True
-            if merged_any:
-                bt = self.t - self.ev_times[idx]
-                part = Partition(list(blocks.keys()))
-                locs = {
-                    b: self.ev_positions[idx][blocks[b] - 1].copy()
-                    for b in merged_any
-                }
-                return sample_pos, bt, part, locs
-            if changed:
-                continue
-        return sample_pos, None, None, None
+        first = next(_backward_merges(self.ev_groups, n), None)
+        if first is None:
+            return sample_pos, None, None, None
+        idx, blocks, created = first
+        pos = self.ev_positions[idx]
+        locs = {b: pos[blocks[b] - 1].copy() for b in created}
+        return sample_pos, self.t - self.ev_times[idx], Partition(list(blocks)), locs

@@ -16,7 +16,7 @@ import numpy as np
 from .forests import Forest, Node, TimeDecoration
 from .partitions import Partition
 
-DEFAULT_CUTOFF = 12
+KERNEL_CUTOFF = 12  # terms a side of the torus kernel's image and Fourier sums
 METHOD_SWITCH_T = 1.0 / (2.0 * math.pi)
 
 
@@ -35,37 +35,14 @@ def torus_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(torus_displacement(a, b)))
 
 
-@dataclass(frozen=True)
-class KernelMethod:
-    variant: str = "auto"  # image-sum | fourier | auto
-    cutoff: int = DEFAULT_CUTOFF
-
-    def __post_init__(self):
-        if self.variant not in ("image-sum", "fourier", "auto"):
-            raise ValueError(f"unknown kernel variant {self.variant!r}")
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
-
-    def pick(self, t: float) -> str:
-        if self.variant != "auto":
-            return self.variant
-        return "image-sum" if t < METHOD_SWITCH_T else "fourier"
-
-
-AUTO = KernelMethod()
-
-
-def _kernel_1d(t, x, method: KernelMethod) -> np.ndarray:
+def _kernel_1d(t, x) -> np.ndarray:
     """Wrapped 1-d heat kernel, vectorized over t and x, which broadcast.
 
     Each t picks its branch, image sum or Fourier series, by a mask on t.
     """
     t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
-    K = method.cutoff
-    if method.variant == "auto":
-        image = t < METHOD_SWITCH_T
-    else:
-        image = np.full(t.shape, method.variant == "image-sum")
+    K = KERNEL_CUTOFF
+    image = t < METHOD_SWITCH_T
     out = np.empty(t.shape)
     ti, xi = t[image][..., None], x[image][..., None]
     z = xi + np.arange(-K, K + 1)
@@ -78,35 +55,17 @@ def _kernel_1d(t, x, method: KernelMethod) -> np.ndarray:
     return out
 
 
-def _grad_log_1d(t: float, x: np.ndarray, method: KernelMethod) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    K = method.cutoff
-    if method.pick(t) == "image-sum":
-        k = np.arange(-K, K + 1)
-        z = x[..., None] + k
-        w = np.exp(-z * z / (2.0 * t))
-        return -(z * w).sum(-1) / (t * w.sum(-1))
-    k = np.arange(1, K + 1)
-    damp = np.exp(-2.0 * math.pi**2 * k**2 * t)
-    num = -2.0 * (2.0 * math.pi * k * damp * np.sin(2.0 * math.pi * k * x[..., None])).sum(-1)
-    den = 1.0 + 2.0 * (damp * np.cos(2.0 * math.pi * k * x[..., None])).sum(-1)
-    return num / den
+def torus_kernel(t: float, x: np.ndarray) -> float:
+    """Transition density p_t(x) of Brownian motion on the flat torus.
 
-
-def torus_kernel(t: float, x: np.ndarray, method: KernelMethod = AUTO) -> float:
-    """Transition density p_t(x) of Brownian motion on the flat torus."""
+    A product over coordinates of the wrapped 1-d kernel: the image sum for
+    t < METHOD_SWITCH_T, the Fourier series otherwise, each cut at
+    KERNEL_CUTOFF terms either side of zero.
+    """
     if t <= 0:
         raise ValueError("t must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(np.prod(_kernel_1d(t, x, method)))
-
-
-def torus_kernel_grad_log(t: float, x: np.ndarray) -> np.ndarray:
-    """Componentwise gradient of log p_t at x."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _grad_log_1d(t, x, AUTO)
+    return float(np.prod(_kernel_1d(t, x)))
 
 
 def gauss_kernel(t: float, x: np.ndarray) -> float:
@@ -188,9 +147,10 @@ def euclidean_tree_integral(
     return w if np.ndim(w) else float(w)
 
 
-def _offset_range(T: float, cutoff: int | None) -> np.ndarray:
-    if cutoff is None:
-        cutoff = max(2, int(math.ceil(6.0 * math.sqrt(T))) + 1)
+def _offset_range(T: float) -> np.ndarray:
+    """Integer offsets that carry all but a negligible part of the image
+    weights of a Gaussian of variance T on the unit circle."""
+    cutoff = max(2, int(math.ceil(6.0 * math.sqrt(T))) + 1)
     return np.arange(-cutoff, cutoff + 1)
 
 
@@ -199,7 +159,6 @@ def torus_bridge_offset(
     b: np.ndarray,
     T: float,
     rng: np.random.Generator,
-    cutoff: int | None = None,
 ) -> np.ndarray:
     """Sample the integer unwrapping offset k with P(k) prop. to the Gaussian
     image weight of b - a + k.  A Euclidean bridge from a to b + k, wrapped,
@@ -208,7 +167,7 @@ def torus_bridge_offset(
         raise ValueError("T must be positive")
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    ks = _offset_range(T, cutoff)
+    ks = _offset_range(T)
     out = np.empty(a.size, dtype=int)
     for c in range(a.size):
         z = b[c] - a[c] + ks

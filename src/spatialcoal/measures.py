@@ -48,13 +48,6 @@ class LambdaMeasure:
             if self.density.get("mass", 1.0) <= 0:
                 raise ValueError("density mass must be positive")
 
-    @property
-    def total_mass(self) -> float:
-        m = sum(w for _, w in self.atoms)
-        if self.density is not None:
-            m += self.density.get("mass", 1.0)
-        return m
-
     @classmethod
     def kingman(cls) -> "LambdaMeasure":
         return cls(atoms=((0.0, 1.0),))
@@ -88,10 +81,6 @@ class XiMeasure:
                 raise ValueError("atom vector must be non-increasing")
             if sum(x * x for x in xi) == 0:
                 raise ValueError("atom with (xi, xi) = 0")
-
-    @property
-    def total_mass(self) -> float:
-        return self.kingman_mass + sum(w for _, w in self.atoms)
 
 
 def lambda_rate(L: LambdaMeasure, n: int, k: int) -> float:
@@ -287,23 +276,6 @@ def sample_nonspatial_path(
         times.append(clock)
         current = q
     return Forest(tuple(levels)), TimeDecoration(tuple(times))
-
-
-def ftm_density(t: RateTable, f: Forest, tau: TimeDecoration) -> float:
-    """Density of the non-spatial coalescent over time-decorated forests."""
-    if len(tau.times) != f.m:
-        raise ValueError("decoration does not match forest")
-    if t.total(len(f.roots)) > 0.0:
-        return 0.0
-    out = 1.0
-    prev_t = 0.0
-    for i in range(f.m):
-        lam = t.total(len(f.levels[i]))
-        rate = t.transition_rate(f.levels[i], f.levels[i + 1])
-        dt = tau.times[i] - prev_t
-        out *= rate * math.exp(-lam * dt)
-        prev_t = tau.times[i]
-    return out
 
 
 # -- MeasureSpec JSON interchange -------------------------------------------

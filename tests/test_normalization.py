@@ -26,10 +26,14 @@ from spatialcoal.normalization import (
     normalization_N_spectral,
     pair_normalization_1d,
     sample_from_grid_density,
-    spatial_integral_g,
     spatial_integral_g_batch,
 )
 from spatialcoal.partitions import MergerSignature, Partition
+
+def spatial_integral_g(f, tau, x, integrate_out=None):
+    """The torus tree integral at one level-time vector, by ``_contract``."""
+    return float(_contract(f, np.array([tau.times]), x, integrate_out)[0])
+
 
 KINGMAN2 = build_rate_table(LambdaMeasure.kingman(), 2)
 KINGMAN3 = build_rate_table(LambdaMeasure.kingman(), 3)
@@ -178,6 +182,12 @@ def test_single_lineage_normalization_is_one():
     x = SpatialConfig.from_points([[0.3]])
     assert normalization_N(x, KINGMAN2).value == 1.0
     assert normalization_N_spectral(x, KINGMAN2) == 1.0
+
+
+def test_normalization_rejects_unknown_method():
+    x = SpatialConfig.from_points([[0.1], [0.4]])
+    with pytest.raises(ValueError, match="quadratur"):
+        normalization_N(x, KINGMAN2, method="quadratur")
 
 
 def test_pair_normalization_quadrature_vs_spectral():

@@ -10,7 +10,6 @@ import pytest
 from scipy import integrate
 
 from spatialcoal.kernels import (
-    AUTO,
     SpatialConfig,
     _kernel_1d,
     torus_displacement,
@@ -30,7 +29,6 @@ from spatialcoal.sampler import (
     pair_attraction,
     pair_residual_times,
     pair_separation_run,
-    sample_decorated_forest,
     sample_paths,
     sde_sample,
     sir_sample,
@@ -140,7 +138,7 @@ def reference_residual_times(deltas, table, rng):
     for i, s in enumerate(mids):
         row = np.full(n, math.exp(-lam * s) * widths[i])
         for c in range(d):
-            row = row * _kernel_1d(2.0 * s, deltas[:, c], AUTO)
+            row = row * _kernel_1d(2.0 * s, deltas[:, c])
         w[i] = row
     cs = np.cumsum(w, axis=0)
     u = rng.uniform(size=n) * cs[-1]
@@ -281,15 +279,6 @@ def test_sir_matches_exact_on_merge_times():
     sir_times = np.array([df.tau.times[0] for df in out])
     stat, p = ks_against_cdf(sir_times, pair_time_cdf(0.4))
     assert p > 0.005
-
-
-def test_sample_decorated_forest_dispatch():
-    x = SpatialConfig.from_points([[0.1], [0.5]])
-    rng = np.random.default_rng(5)
-    df = sample_decorated_forest(x, KINGMAN2, rng)
-    assert df.forest.m == 1
-    with pytest.raises(ValueError):
-        sample_decorated_forest(x, KINGMAN2, rng, scheme="bogus")
 
 
 def test_pair_drift_field_matches_attraction_direction():

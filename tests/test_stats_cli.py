@@ -181,3 +181,17 @@ def test_cli_method_only_where_read(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["check", "duality", "--method", "x", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_cli_normalization_rejects_unknown_method(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["normalization", "--n", "2", "--method", "foo", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_sample_coalescent_rejects_unknown_method(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample-coalescent", "--method", "sirr", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not (tmp_path / "samples.csv").exists()
