@@ -46,6 +46,7 @@ from .sampler import (
     sample_paths,
 )
 from .stats import (
+    chi2_table,
     energy_distance_test,
     fit_loglog_slope,
     ks_against_cdf,
@@ -411,17 +412,10 @@ def _run_duality(spec: ExperimentSpec) -> TestReport:
     cats = [(1, 2), (1, 3), (2, 3)]
     obs_counts = [pf.count(c) for c in cats]
     ref_counts = [pr.count(c) for c in cats]
-    from scipy.stats import chi2_contingency
-
-    chi = chi2_contingency([obs_counts, ref_counts])
+    chi, p_chi = chi2_table([obs_counts, ref_counts])
     results.append(
         TestResult(
-            "triple-block-structure-chi2",
-            float(chi.statistic),
-            ALPHA,
-            float(chi.pvalue),
-            chi.pvalue >= ALPHA,
-            0.0,
+            "triple-block-structure-chi2", chi, ALPHA, p_chi, p_chi >= ALPHA, 0.0
         )
     )
     for label, arr in [
@@ -670,24 +664,15 @@ def _run_markov_resample(spec: ExperimentSpec) -> TestReport:
         "next-merge-time-ks", ALPHA, compare, seed=spec.seed
     )
     results.append(r)
-    from scipy.stats import chi2_contingency
-
     cats = [1, 2, 3]
     tab = [
         [c_a.count(c) for c in cats],
         [c_b.count(c) for c in cats],
     ]
     keep = [j for j in range(len(cats)) if tab[0][j] + tab[1][j] > 0]
-    chi = chi2_contingency([[row[j] for j in keep] for row in tab])
+    chi, p_chi = chi2_table([[row[j] for j in keep] for row in tab])
     results.append(
-        TestResult(
-            "lineage-count-chi2",
-            float(chi.statistic),
-            ALPHA,
-            float(chi.pvalue),
-            chi.pvalue >= ALPHA,
-            0.0,
-        )
+        TestResult("lineage-count-chi2", chi, ALPHA, p_chi, p_chi >= ALPHA, 0.0)
     )
     for label, arr in [("straight-next-time", fin_a), ("rerooted-next-time", fin_b)]:
         samples["series"] += [label] * len(arr)

@@ -393,28 +393,33 @@ def _backward_merges(groups: list, n: int):
     Each block of the sample sits at the level of its ancestor.  At an event,
     the blocks at the levels of a group all move to the group's lowest level,
     and merge there when there are two or more of them.  For every event
-    that merges sample blocks, this yields (event index, block -> ancestor
-    level after all of the event's groups, blocks the event created), so
-    the disjoint groups of one event form one simultaneous merger.  The walk
-    stops once the sample has one ancestor.
+    that moves or merges sample blocks, this yields (event index, block ->
+    ancestor level after all of the event's groups, blocks the event
+    created), so the disjoint groups of one event form one simultaneous
+    merger; an event that only moves blocks created none.
     """
     blocks = {frozenset({i}): i for i in range(1, n + 1)}
     for idx in range(len(groups) - 1, -1, -1):
-        if len(blocks) <= 1:
-            return
         created = []
+        moved = False
         for g in groups[idx]:
             involved = [b for b, lvl in blocks.items() if lvl in g]
             if not involved:
                 continue
+            moved = moved or blocks[involved[0]] != g[0]
             merged = frozenset().union(*involved)
             for b in involved:
                 del blocks[b]
             blocks[merged] = g[0]
             if len(involved) >= 2:
                 created.append(merged)
-        if created:
+        if created or moved:
             yield idx, dict(blocks), created
+
+
+def _merges(groups: list, n: int):
+    """The merging events of the backward walk of an event log."""
+    return (step for step in _backward_merges(groups, n) if step[2])
 
 
 def trace_ancestry(times: np.ndarray, groups: list, n: int):
@@ -427,7 +432,7 @@ def trace_ancestry(times: np.ndarray, groups: list, n: int):
     """
     history = [
         (-float(times[idx]), idx, Partition(list(blocks)), blocks)
-        for idx, blocks, _ in _backward_merges(groups, n)
+        for idx, blocks, _ in _merges(groups, n)
     ]
     if not history:
         return {frozenset({i}): i for i in range(1, n + 1)}, history
@@ -439,13 +444,16 @@ def extract_genealogy(run: ForwardRun, n: int) -> ExtractedGenealogy:
 
     One ``CoalescentPath`` event per merging event of the run (so a
     multiple or simultaneous merger is one event), with each created
-    block's merge location, and a path per block read off the recorded
-    level positions, from its birth back to the start of the run.
+    block's merge location, and a path per block: its ancestor's recorded
+    level positions, from its birth back to the start of the run.  The
+    path follows the ancestor through every event that copies it, merging
+    or not.
     """
     if n < 1 or n > run.n_levels:
         raise ValueError("invalid sample size")
-    blocks, history = trace_ancestry(run.times, run.groups, n)
-    merge_at = {idx: (part, lv) for _, idx, part, lv in history}
+    steps = {
+        idx: (lv, created) for idx, lv, created in _backward_merges(run.groups, n)
+    }
     initial = Partition.singletons(range(1, n + 1))
     alive = {frozenset({i}): i for i in range(1, n + 1)}
     paths = {b: [(0.0, run.end_positions[lvl - 1])] for b, lvl in alive.items()}
@@ -453,15 +461,13 @@ def extract_genealogy(run: ForwardRun, n: int) -> ExtractedGenealogy:
     for idx in range(len(run.times) - 1, -1, -1):
         bt = -float(run.times[idx])
         pos = run.positions[idx]
-        if idx in merge_at:
-            part, lv = merge_at[idx]
-            merged_locs = {
-                b: pos[lvl - 1].copy() for b, lvl in lv.items() if b not in alive
-            }
-            for b in merged_locs:
-                paths[b] = []
-            alive = lv
-            events.append((bt, part, merged_locs))
+        if idx in steps:
+            alive, created = steps[idx]
+            if created:
+                merged_locs = {b: pos[alive[b] - 1].copy() for b in created}
+                for b in created:
+                    paths[b] = []
+                events.append((bt, Partition(list(alive)), merged_locs))
         for b, lvl in alive.items():
             paths[b].append((bt, pos[lvl - 1].copy()))
     cp_paths = {
@@ -473,7 +479,7 @@ def extract_genealogy(run: ForwardRun, n: int) -> ExtractedGenealogy:
         paths=cp_paths,
         meta={"initial_partition": initial, "model": run.meta.get("model")},
     )
-    return ExtractedGenealogy(coalescent=cp, fully_coalesced=len(blocks) == 1)
+    return ExtractedGenealogy(coalescent=cp, fully_coalesced=len(alive) == 1)
 
 
 # -- Long-run harvesting (stationary replicates from one warm run) -----------
@@ -550,7 +556,7 @@ class ForwardHarvester:
         Returns None for the merge fields if the trace leaves the buffer.
         """
         sample_pos = self.positions[:n].copy()
-        first = next(_backward_merges(self.ev_groups, n), None)
+        first = next(_merges(self.ev_groups, n), None)
         if first is None:
             return sample_pos, None, None, None
         idx, blocks, created = first

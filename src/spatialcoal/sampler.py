@@ -198,7 +198,8 @@ class ExactCoalescentSampler:
         if f.m > 2:
             raise NotImplementedError(
                 "inverse-CDF time tables cover at most two merge events; "
-                "use scheme 'sir' for deeper forests"
+                "draw deeper forests with sir_sample "
+                "(sample-coalescent --method sir)"
             )
         _, lams = _forest_rates(self.table, f)
         grid = TIME_GRID if f.m == 1 else max(48, TIME_GRID // 8)

@@ -228,6 +228,44 @@ def test_extract_genealogy_paths_end_at_sample_positions():
         extract_genealogy(run, 7)
 
 
+def true_ancestor_positions(run, n: int) -> dict:
+    """Backward time -> (level positions then, leaf -> ancestor level), by a
+    walk that moves each leaf's ancestor at every event copying it."""
+    level = {i: i for i in range(1, n + 1)}
+    out = {0.0: (run.end_positions, dict(level))}
+    for idx in range(len(run.times) - 1, -1, -1):
+        for g in run.groups[idx]:
+            for leaf, lvl in level.items():
+                if lvl in g:
+                    level[leaf] = g[0]
+        out[-float(run.times[idx])] = (run.positions[idx], dict(level))
+    return out
+
+
+def test_extract_genealogy_paths_follow_every_move():
+    # non-merging copies move a lineage's ancestor too; reading paths at
+    # the level of the last merge put 209 of 8,287 points off here
+    law = OffspringLaw("pair-resampling", 8)
+    rng = np.random.default_rng(4)
+    off = total = 0
+    for _ in range(30):
+        run = cannings_simulate(law, 28.0, 8.0, 1, rng, warmup=2.0)
+        cp = extract_genealogy(run, 3).coalescent
+        truth = true_ancestor_positions(run, 3)
+        for b, (times, pos) in cp.paths.items():
+            for t, p in zip(times, pos):
+                level_pos, level = truth[float(t)]
+                total += 1
+                off += not np.array_equal(p, level_pos[level[min(b)] - 1])
+        # merge times and partitions are those of the merge history
+        _, history = trace_ancestry(run.times, run.groups, 3)
+        assert [(bt, part) for bt, part, _ in cp.events] == [
+            (bt, part) for bt, _, part, _ in history
+        ]
+    assert total > 8000
+    assert off == 0
+
+
 def test_lookdown_kingman_groups_are_pairs():
     rng = np.random.default_rng(5)
     run = lookdown_simulate(LambdaMeasure.kingman(), 5, 2.0, 1, rng, warmup=0.5)

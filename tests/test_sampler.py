@@ -2,8 +2,11 @@
 
 import itertools
 import math
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from spatialcoal.kernels import (
     torus_kernel,
     wrap,
 )
+from spatialcoal.forests import Forest
 from spatialcoal.measures import LambdaMeasure, build_rate_table
 from spatialcoal.partitions import Partition
 from spatialcoal.sampler import (
@@ -334,6 +338,60 @@ def test_exact_sampler_rejects_table_too_small():
     x = SpatialConfig.from_points([[0.1], [0.4], [0.7]])
     with pytest.raises(ValueError, match="at most 2 lineages"):
         ExactCoalescentSampler(x, KINGMAN2)
+
+
+def test_gap_tables_beyond_two_merges_name_the_sir_route():
+    x = SpatialConfig.from_points([[0.1], [0.4], [0.7]])
+    sampler = ExactCoalescentSampler(x, KINGMAN3)
+    deep = Forest(
+        (
+            Partition.singletons([1, 2, 3, 4]),
+            Partition([{1, 2}, {3}, {4}]),
+            Partition([{1, 2, 3}, {4}]),
+            Partition([{1, 2, 3, 4}]),
+        )
+    )
+    with pytest.raises(NotImplementedError) as err:
+        sampler._gap_table(deep)
+    assert "sir_sample" in str(err.value)
+    assert "sample-coalescent --method sir" in str(err.value)
+
+
+FAULT_PROBE = """
+import resource
+import numpy as np
+from spatialcoal.kernels import SpatialConfig
+from spatialcoal.measures import LambdaMeasure, build_rate_table
+from spatialcoal.sampler import ExactCoalescentSampler
+
+table = build_rate_table(LambdaMeasure.kingman(), 3)
+rng = np.random.default_rng(0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    x = SpatialConfig.from_points(rng.uniform(size=(3, 1)))
+    sampler = ExactCoalescentSampler(x, table)
+    for f in sampler.forests:
+        if not f.is_trivial:
+            sampler._gap_table(f)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="glibc mmap threshold"
+)
+def test_cold_gap_tables_reuse_heap_pages():
+    # each gap table contracts ~270 KB Fourier temporaries; unless glibc's
+    # mmap threshold has been raised they are mapped and faulted in afresh,
+    # about 88,000 minor faults here against about 500
+    out = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE],
+        cwd=Path(__file__).resolve().parents[1] / "src",
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert int(out.stdout) < 5000
 
 
 def test_sampler_determinism():

@@ -5,10 +5,13 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from spatialcoal.cli import main
 from spatialcoal.stats import (
+    _kolmogorov_sf,
     chi2_counts,
+    chi2_table,
     energy_distance_test,
     fit_loglog_slope,
     ks_against_cdf,
@@ -60,6 +63,84 @@ def test_chi2_counts_pools_small_cells():
     # a clearly wrong expectation is rejected
     _, p_bad = chi2_counts(np.array([100, 10]), np.array([55, 55]))
     assert p_bad < 1e-6
+
+
+def ks_tolerance(n: int) -> float:
+    # up to n = 140 scipy's law is exact too; above it scipy sums the
+    # asymptotic Pelz-Good series where this package takes Durbin's matrix
+    return 1e-13 if n <= 140 else 1e-5
+
+
+@pytest.mark.parametrize("n", [2, 4, 15, 30, 75, 140, 150, 1000, 10000])
+def test_kolmogorov_sf_matches_scipy(n):
+    # D across (0, 1], dense near 0, through every branch of the dispatch
+    ds = np.concatenate(
+        [np.geomspace(0.1 / n, 1.0, 60), np.linspace(0.0025, 1.0, 400)]
+    )
+    got = np.array([_kolmogorov_sf(n, d) for d in ds], dtype=float)
+    want = stats.kstwo.sf(ds, n)
+    assert np.abs(got - want).max() <= ks_tolerance(n)
+
+
+@pytest.mark.parametrize(
+    "sizes", [(30, 30), (150, 150), (400, 400), (7, 12), (60, 200), (1000, 333)]
+)
+def test_ks_two_sample_matches_scipy(sizes):
+    rng = np.random.default_rng(sum(sizes))
+    n = round(sizes[0] * sizes[1] / sum(sizes))
+    for shift in (0.0, 0.2, 0.6):
+        # rounding to one decimal leaves many ties within and across samples
+        a = np.round(rng.normal(size=sizes[0]), 1)
+        b = np.round(rng.normal(shift, size=sizes[1]), 1)
+        stat, p = ks_two_sample(a, b)
+        ref = stats.ks_2samp(a, b, method="asymp")
+        assert stat == ref.statistic
+        assert abs(p - ref.pvalue) <= ks_tolerance(n)
+
+
+@pytest.mark.parametrize("n", [2, 15, 75, 140, 150, 1000])
+def test_ks_against_cdf_matches_scipy(n):
+    rng = np.random.default_rng(n)
+
+    def cdf(x):
+        return np.clip(x, 0.0, 1.0)
+
+    for power in (1.0, 1.2, 2.0):
+        u = rng.uniform(size=n) ** power
+        stat, p = ks_against_cdf(u, cdf)
+        ref = stats.ks_1samp(u, cdf)
+        assert stat == ref.statistic
+        assert abs(p - ref.pvalue) <= ks_tolerance(n)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[10, 12], [14, 5]],
+        [[3, 40], [7, 30]],
+        [[50, 50], [50, 50]],
+        [[10, 20, 30], [15, 12, 40]],
+        [[48, 61, 1], [40, 70, 3]],
+    ],
+)
+def test_chi2_table_matches_scipy(table):
+    # 2x2 tables take Yates' correction, 2x3 tables do not
+    stat, p = chi2_table(table)
+    ref = stats.chi2_contingency(table)
+    assert stat == ref.statistic
+    assert abs(p - ref.pvalue) <= 1e-13
+    with pytest.raises(ValueError):
+        chi2_table([[0, 4], [0, 7]])
+
+
+def test_chi2_counts_matches_scipy():
+    # no cell pooled: the same Pearson sum as scipy's chisquare
+    obs = np.array([50, 48, 52, 30, 20])
+    exp = np.array([1.0, 1.0, 1.0, 0.6, 0.4])
+    stat, p = chi2_counts(obs, exp)
+    ref = stats.chisquare(obs, exp * obs.sum() / exp.sum())
+    assert stat == ref.statistic
+    assert abs(p - ref.pvalue) <= 1e-13
 
 
 def test_fit_loglog_slope_recovers_power_law():
