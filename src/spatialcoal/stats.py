@@ -115,8 +115,6 @@ def _kolmogorov_sf(n: int, d: float):
     if t >= n - 1:  # Ruben-Gambino
         return _clip(2 * (1.0 - x) ** n)
     nxsquared = t * x
-    if x < 0.5 and n > 140 and nxsquared >= 370.0:
-        return 0.0
     if x >= 0.5 or nxsquared > 4.0 or (n > 140 and nxsquared >= 2.2):
         return _clip(2 * special.smirnov(n, x))
     return _clip(1.0 - _durbin_cdf(n, x))
@@ -130,18 +128,17 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     """
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("both samples must be nonempty")
+    if a.size == 0 or b.size == 0 or a.size + b.size < 3:
+        # two single points give n = round(1/2) = 0, a law of no sample
+        raise ValueError("both samples must be nonempty, with three points in all")
     pooled = np.concatenate([a, b])
     diffs = (
         np.searchsorted(a, pooled, side="right") / a.size
         - np.searchsorted(b, pooled, side="right") / b.size
     )
-    d_minus = np.clip(-diffs.min(), 0, 1)
-    d_plus = diffs.max()
-    d = d_minus if d_minus > d_plus else d_plus
-    m, n = float(a.size), float(b.size)
-    return float(d), float(_kolmogorov_sf(int(np.round(m * n / (m + n))), d))
+    d = np.abs(diffs).max()
+    n = round(a.size * b.size / (a.size + b.size))
+    return float(d), float(_kolmogorov_sf(n, d))
 
 
 def ks_against_cdf(a, cdf) -> tuple[float, float]:
@@ -153,7 +150,7 @@ def ks_against_cdf(a, cdf) -> tuple[float, float]:
     u = cdf(a)
     d_plus = (np.arange(1.0, n + 1) / n - u).max()
     d_minus = (u - np.arange(0.0, n) / n).max()
-    d = d_plus if d_plus > d_minus else d_minus
+    d = max(d_minus, d_plus)
     return float(d), float(_kolmogorov_sf(n, d))
 
 

@@ -31,6 +31,8 @@ def test_ks_two_sample_calibration():
     assert p_alt < 1e-6
     with pytest.raises(ValueError):
         ks_two_sample([], [1.0])
+    with pytest.raises(ValueError):
+        ks_two_sample([0.0], [1.0])
 
 
 def test_ks_against_cdf():
