@@ -83,8 +83,9 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output directory")
 
 
-# --method of the subcommands that take one.  auto is the spectral route
-# of normalization and the exact sampler of sample-coalescent.
+# --method of the subcommands that take one.  auto is normalization_N's
+# own choice (the Gauss rule up to two merge events, Monte Carlo beyond)
+# and the exact sampler of sample-coalescent.
 METHOD_CHOICES = {
     "normalization": ("auto", "spectral", "quadrature", "monte-carlo"),
     "sample-coalescent": ("auto", "sir"),
@@ -120,7 +121,7 @@ def cmd_normalization(args) -> int:
     pts = _points_from(cfg, args)
     table = build_rate_table(measure, max(len(pts), 2))
     x = SpatialConfig.from_points(pts)
-    if args.method in ("auto", "spectral"):
+    if args.method == "spectral":
         value = normalization_N_spectral(x, table)
         err = 0.0
         method = "spectral"

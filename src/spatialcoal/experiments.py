@@ -5,6 +5,7 @@ artifacts (report.json plus long-format samples.csv).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -129,12 +130,12 @@ class TestReport:
         }
 
 
-def _timed(name, threshold, fn, *, seed=None):
+def _timed(name, threshold, fn, *, seed):
     """Run a check; statistical checks retry once on a shifted seed."""
     t0 = time.perf_counter()
     stat, p, samples = fn(seed)
     retried = False
-    if p is not None and p < ALPHA and seed is not None:
+    if p is not None and p < ALPHA:
         stat, p, samples = fn(seed + RETRY_SEED_OFFSET)
         retried = True
     passed = (p >= ALPHA) if p is not None else (stat <= threshold)
@@ -347,6 +348,7 @@ def _run_duality(spec: ExperimentSpec) -> TestReport:
     results = []
     samples = {"series": [], "index": [], "value": []}
 
+    @functools.cache
     def harvest(seed):
         rng = spawn_rngs(seed, 1)[0]
         h = ForwardHarvester(
@@ -359,21 +361,14 @@ def _run_duality(spec: ExperimentSpec) -> TestReport:
             obs3.append(h.observe(3))
         return obs2, obs3
 
-    cache = {}
-
-    def get_obs(seed):
-        if seed not in cache:
-            cache[seed] = harvest(seed)
-        return cache[seed]
-
     def fwd_sep2(seed):
-        obs2, _ = get_obs(seed)
+        obs2, _ = harvest(seed)
         return np.array(
             [torus_displacement(p[0], p[1])[0] for p, *_ in obs2]
         )
 
     def test_pair_time(seed):
-        obs2, _ = get_obs(seed)
+        obs2, _ = harvest(seed)
         t_fwd = np.array([bt for _, bt, *_ in obs2])
         seps = np.abs(fwd_sep2(seed))[:, None]
         ref = pair_residual_times(seps, table, spawn_rngs(seed + 1, 1)[0])
@@ -387,7 +382,7 @@ def _run_duality(spec: ExperimentSpec) -> TestReport:
         return stat, p, seps
 
     def test_triple_time(seed):
-        _, obs3 = get_obs(seed)
+        _, obs3 = harvest(seed)
         rng = spawn_rngs(seed + 2, 1)[0]
         t_fwd = np.array([bt for _, bt, *_ in obs3])
         ref = np.empty(len(obs3))
@@ -530,6 +525,7 @@ def _run_reversal_stationarity(spec: ExperimentSpec) -> TestReport:
     results = []
     samples = {"series": [], "index": [], "value": []}
 
+    @functools.cache
     def rev_records(seed):
         rngs = spawn_rngs(seed, reps)
         recs = np.empty((reps, grid.size, n, d))
@@ -541,15 +537,8 @@ def _run_reversal_stationarity(spec: ExperimentSpec) -> TestReport:
             assert run.records.shape[1] == n
         return recs
 
-    rev_cache = {}
-
-    def get_rev(seed):
-        if seed not in rev_cache:
-            rev_cache[seed] = rev_records(seed)
-        return rev_cache[seed]
-
     def energy_start_end(seed):
-        recs = get_rev(seed)
+        recs = rev_records(seed)
         a = recs[:, 0].reshape(reps, n * d)
         b = recs[:, -1].reshape(reps, n * d)
         stat, p = energy_distance_test(
@@ -565,6 +554,7 @@ def _run_reversal_stationarity(spec: ExperimentSpec) -> TestReport:
     T_N = N * (N - 1) / 2.0
     law = OffspringLaw("pair-resampling", N)
 
+    @functools.cache
     def forward_records(seed):
         rngs = spawn_rngs(seed + 5, reps)
         recs = np.empty((reps, grid.size, n, d))
@@ -576,8 +566,6 @@ def _run_reversal_stationarity(spec: ExperimentSpec) -> TestReport:
             recs[i] = run.grid_positions[: grid.size, :n, :]
         return recs
 
-    fwd_cache = {}
-
     def sep_of(recs, k):
         return np.abs(
             torus_displacement(recs[:, k, 0, 0], recs[:, k, 1, 0])
@@ -586,10 +574,8 @@ def _run_reversal_stationarity(spec: ExperimentSpec) -> TestReport:
     for k in range(grid.size):
 
         def compare(seed, k=k):
-            recs_r = get_rev(seed)
-            if seed not in fwd_cache:
-                fwd_cache[seed] = forward_records(seed)
-            recs_f = fwd_cache[seed]
+            recs_r = rev_records(seed)
+            recs_f = forward_records(seed)
             # reversed time: forward grid index counts from the far end
             stat, p = ks_two_sample(
                 sep_of(recs_r, k), sep_of(recs_f, grid.size - 1 - k)
@@ -600,7 +586,7 @@ def _run_reversal_stationarity(spec: ExperimentSpec) -> TestReport:
             f"reversed-forward-sep-ks-t{k}", ALPHA, compare, seed=spec.seed
         )
         results.append(r)
-    recs = get_rev(spec.seed)
+    recs = rev_records(spec.seed)
     for k in range(grid.size):
         vals = sep_of(recs, k)
         samples["series"] += [f"reversal-sep-t{k}"] * len(vals)

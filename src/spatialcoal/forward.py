@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import LambdaMeasure, RateTable, XiMeasure
+from .measures import LambdaMeasure, RateTable, XiMeasure, lambda_to_xi
 from .partitions import MergerSignature, Partition, signatures_for
 from .sampler import CoalescentPath
 
@@ -291,19 +291,16 @@ def cannings_simulate(
 
 
 def _lookdown_event_menu(spec: LambdaMeasure | XiMeasure, n: int):
-    """(total rate, list of (rate, descriptor)) for the first n levels."""
+    """(total rate, list of (rate, descriptor)) for the first n levels.
+
+    A Lambda measure goes through ``lambda_to_xi``, which rejects density parts.
+    """
     if isinstance(spec, LambdaMeasure):
-        if spec.density is not None:
-            raise ValueError("lookdown requires atomic measures")
-        kingman = sum(w for p, w in spec.atoms if p == 0.0)
-        atoms = [((p,), w) for p, w in spec.atoms if p > 0.0]
-    else:
-        kingman = spec.kingman_mass
-        atoms = list(spec.atoms)
+        spec = lambda_to_xi(spec)
     menu = []
-    if kingman > 0 and n >= 2:
-        menu.append((kingman * n * (n - 1) / 2.0, ("pair", None)))
-    for xi, w in atoms:
+    if spec.kingman_mass > 0 and n >= 2:
+        menu.append((spec.kingman_mass * n * (n - 1) / 2.0, ("pair", None)))
+    for xi, w in spec.atoms:
         dot = sum(x * x for x in xi)
         menu.append((w / dot, ("atom", xi)))
     return sum(r for r, _ in menu), menu

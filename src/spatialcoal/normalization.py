@@ -638,7 +638,7 @@ MCMC_STEP = 0.12
 class MuSampler:
     """Sampler for the conditional resampling measure given placed positions.
 
-    d = 1 uses an exact inverse CDF on a ``grid``-cell density, which one FFT
+    d = 1 uses an exact inverse CDF on a MU_GRID-cell density, which one FFT
     of the folded Fourier coefficients evaluates (``mu_density_grid``); d >= 2 a
     Metropolis random walk on the torus of MCMC_STEPS steps with Gaussian
     proposals of scale MCMC_STEP, with the normalization (quadrature route,
@@ -649,11 +649,10 @@ class MuSampler:
 
     x: SpatialConfig
     table: RateTable
-    grid: int = MU_GRID
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         if self.x.d == 1:
-            dens = mu_density_grid(self.x, self.table, self.grid)
+            dens = mu_density_grid(self.x, self.table)
             return np.atleast_1d(sample_from_grid_density(dens, rng))
         return self._sample_mcmc(rng)
 
@@ -680,7 +679,7 @@ class MuSampler:
 
 
 def sample_mu(
-    x: SpatialConfig, table: RateTable, rng: np.random.Generator, grid: int = MU_GRID
+    x: SpatialConfig, table: RateTable, rng: np.random.Generator
 ) -> np.ndarray:
     """One draw of the next sampled position given the placed lineages."""
-    return MuSampler(x, table, grid).sample(rng)
+    return MuSampler(x, table).sample(rng)

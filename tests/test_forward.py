@@ -273,6 +273,12 @@ def test_lookdown_kingman_groups_are_pairs():
         assert all(len(g) == 2 for g in groups)
 
 
+def test_lookdown_rejects_density_parts():
+    rng = np.random.default_rng(5)
+    with pytest.raises(ValueError, match="density"):
+        lookdown_simulate(LambdaMeasure.beta(1.0, 1.0), 3, 1.0, 1, rng)
+
+
 def test_lookdown_atom_group_sizes_binomial():
     # a single atom at xi = (0.5,): every level joins the basket with
     # probability 1/2 independently, so group sizes are Binomial(n, 1/2)

@@ -141,7 +141,6 @@ def test_cli_import_leaves_out_scipy_signal():
 # caller (the items of ROADMAP.md)
 UNREACHED_ALLOWED = {
     "forests.classify_extension": "item 6: where a new leaf joins a forest",
-    "measures.lambda_to_xi": "item 4: a Lambda measure through the Xi rates",
     "stats.chi2_counts": "item 4: signature chi-square, pooling small cells",
 }
 

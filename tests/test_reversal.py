@@ -33,7 +33,7 @@ def test_resampled_level_matches_conditional_density():
     rng = np.random.default_rng(1)
     draws = np.array(
         [
-            resample_levels(surv, range(1, 4), KINGMAN3, rng, grid=512).as_matrix()[2, 0]
+            resample_levels(surv, range(1, 4), KINGMAN3, rng).as_matrix()[2, 0]
             for _ in range(1500)
         ]
     )
@@ -73,6 +73,14 @@ def test_reversal_with_explicit_initial_positions():
     assert np.allclose(run.initial_positions, init)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("record_times", [[0.0, 0.5, 2.0], [-0.1, 0.5]])
+def test_record_times_outside_horizon_are_rejected(n, record_times):
+    rng = np.random.default_rng(6)
+    with pytest.raises(ValueError, match="record times"):
+        simulate_reversal(KINGMAN3, n, 1.0, 1, rng, record_times=record_times)
+
+
 def test_single_level_is_free_brownian_motion():
     # with one level nothing ever merges; the position stays uniform
     rng = np.random.default_rng(4)
@@ -94,7 +102,7 @@ def test_stationary_positions_pair_law():
     table = build_rate_table(LambdaMeasure.kingman(), 2)
     seps = []
     for _ in range(1000):
-        pts = sample_stationary_positions(2, 1, table, rng, grid=512)
+        pts = sample_stationary_positions(2, 1, table, rng)
         seps.append((pts[1, 0] - pts[0, 0]) % 1.0)
     anchor = SpatialConfig.from_points([[0.0]])
     grid = 32
@@ -103,3 +111,24 @@ def test_stationary_positions_pair_law():
     expected = dens / dens.sum() * len(seps)
     stat, p = chi2_counts(obs, expected)
     assert p > 0.005
+
+
+def test_reversal_stream_is_pinned():
+    # exact values of one Kingman run: any change to the order or count of
+    # random draws in the epoch loop shows up here
+    rng = np.random.default_rng(20)
+    run = simulate_reversal(LambdaMeasure.kingman(), 3, 2.0, 1, rng)
+    assert run.records.tolist() == [
+        [[0.2800759626301593], [0.4463187792218204], [0.5020530196310484]],
+        [[0.9681777788730115], [0.8210671528848387], [0.8299660419777174]],
+        [[0.331106338973203], [0.34626286166269293], [0.3185021319850342]],
+        [[0.5555254351343528], [0.4432676958960614], [0.8386553151128799]],
+        [[0.29916928425428624], [0.8828874582165853], [0.9001730345214325]],
+    ]
+    assert [e.merge_time for e in run.epochs] == [
+        0.01592815450907607,
+        0.06929296265538107,
+        0.1490308225467964,
+        0.4329981544577545,
+        0.5469372385191313,
+    ]

@@ -8,6 +8,9 @@ import pytest
 from scipy import stats
 
 from spatialcoal.cli import main
+from spatialcoal.kernels import SpatialConfig
+from spatialcoal.measures import LambdaMeasure, build_rate_table
+from spatialcoal.normalization import normalization_N, pair_normalization_1d
 from spatialcoal.stats import (
     _kolmogorov_sf,
     chi2_counts,
@@ -180,8 +183,21 @@ def test_cli_normalization(tmp_path):
         main(["normalization", "--config", str(cfg), "--out", str(out)]) == 0
     )
     report = json.loads((out / "report.json").read_text())
-    assert report["method"] == "spectral"
-    assert 0.0 < report["value"] < 10.0
+    assert report["method"] == "quadrature"
+    # the pair sits at displacement 0.3, where N has a closed form
+    want = float(pair_normalization_1d(0.3, 1.0))
+    assert report["value"] == pytest.approx(want, rel=1e-10)
+
+
+def test_cli_normalization_default_runs_at_three_points_in_2d(tmp_path):
+    # the spectral box of this configuration is over its memory budget
+    out = tmp_path / "norm"
+    assert main(["normalization", "--n", "3", "--dim", "2", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["method"] == "quadrature"
+    x = SpatialConfig.from_points(report["points"])
+    table = build_rate_table(LambdaMeasure.kingman(), 3)
+    assert report["value"] == normalization_N(x, table).value
 
 
 def test_cli_sample_coalescent(tmp_path):
