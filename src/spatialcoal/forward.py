@@ -1,13 +1,15 @@
 """Forward-in-time population models whose genealogies are spatial
 coalescents: the spatial Cannings model and the lookdown particle system.
 
-Both share an event format: at an event time, the levels are partitioned
-into groups and every member of a group copies the position of the group's
-lowest level.  Genealogy extraction walks the event log backward.
+Both share an event format and one event step, ``_step``: at an event
+time, the levels are partitioned into groups and every member of a group
+copies the position of the group's lowest level.  Genealogy extraction walks
+the event log backward.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -153,6 +155,26 @@ class ForwardRun:
         return self.start_positions.shape[0]
 
 
+def _below(rng: np.random.Generator, n: int) -> int:
+    """``int(rng.integers(n))`` for 1 <= n <= 2**32, at a third of its cost.
+
+    It takes numpy's own steps (Lemire's multiply and reject on the bit
+    generator's ``next_uint32``, and no draw at all for n = 1), so it gives
+    the same number and leaves the same stream.  It skips the argument
+    handling of ``Generator.integers``, which costs more than the draw, and
+    its lock: one thread per generator.
+    """
+    if n == 1:
+        return 0
+    bits = rng.bit_generator.ctypes
+    m = bits.next_uint32(bits.state) * n
+    if m & 0xFFFFFFFF < n:
+        threshold = (2**32 - n) % n
+        while m & 0xFFFFFFFF < threshold:
+            m = bits.next_uint32(bits.state) * n
+    return m >> 32
+
+
 def _cannings_groups(
     law: OffspringLaw, rng: np.random.Generator
 ) -> list[tuple[int, ...]]:
@@ -160,8 +182,8 @@ def _cannings_groups(
         return []
     if law.kind == "pair-resampling":
         # one level gets a second offspring slot, replacing another level
-        a = int(rng.integers(law.N))
-        b = int(rng.integers(law.N - 1))
+        a = _below(rng, law.N)
+        b = _below(rng, law.N - 1)
         if b >= a:
             b += 1
         return [(min(a, b) + 1, max(a, b) + 1)]
@@ -176,68 +198,78 @@ def _cannings_groups(
     return groups
 
 
-def _apply_groups(positions: np.ndarray, groups) -> None:
+def _step(
+    positions: np.ndarray, dt: float, rng: np.random.Generator, draw_groups=None
+):
+    """Move every level by one Brownian increment over ``dt`` and wrap it.
+
+    At an event (``draw_groups`` given), then draw the event's groups, copy
+    each group's lowest level onto its other members, and return the groups.
+    """
+    positions += rng.normal(0.0, math.sqrt(dt), positions.shape)
+    np.mod(positions, 1.0, out=positions)
+    if draw_groups is None:
+        return None
+    groups = draw_groups(rng)
     for g in groups:
-        positions[[i - 1 for i in g[1:]]] = positions[g[0] - 1]
+        src = positions[g[0] - 1]
+        for i in g[1:]:
+            positions[i - 1] = src
+    return groups
 
 
 def _run_events(
-    n_levels: int,
-    d: int,
+    positions: np.ndarray,
     total_time: float,
     event_rate: float,
     draw_groups,
     rng: np.random.Generator,
-    positions: np.ndarray,
     record_from: float,
     grid_dt: float | None,
-):
-    """Shared forward core: Poisson events, BM increments, group copying."""
+) -> ForwardRun:
+    """The forward run over [-total_time, 0], recorded from ``record_from``.
+
+    A Poisson number of events at sorted uniform times, each one ``_step``.
+    The events before ``record_from`` are a discarded warm-up; the positions
+    are then stepped to ``record_from`` (the start of the record) and, with
+    ``grid_dt``, to every grid time from there on, between the events.
+    """
     n_events = rng.poisson(event_rate * total_time)
-    times = np.sort(rng.uniform(-total_time, 0.0, size=n_events))
-    rec_times: list[float] = []
+    times = np.sort(rng.uniform(-total_time, 0.0, size=n_events)).tolist()
+    split = bisect.bisect_left(times, record_from)
+    t = -total_time
+    for te in times[:split]:
+        _step(positions, te - t, rng, draw_groups)
+        t = te
+    if t < record_from:  # with no warm-up the record starts where the run does
+        _step(positions, record_from - t, rng)
+        t = record_from
+    start_positions = positions.copy()
     rec_groups: list[list[tuple[int, ...]]] = []
     rec_pos: list[np.ndarray] = []
-    grid_times = (
-        np.arange(record_from, 1e-12, grid_dt) if grid_dt is not None else None
-    )
-    grid_pos = [] if grid_dt is not None else None
-    start_positions = None
-    t = -total_time
+    grid_times, grid, grid_pos = None, [], []
+    if grid_dt is not None:
+        # the grid starts at record_from, where the positions already are
+        grid_times = np.arange(record_from, 1e-12, grid_dt)
+        grid, grid_pos = grid_times.tolist()[1:], [start_positions]
     gi = 0
-
-    def advance_to(t_new: float) -> float:
-        nonlocal start_positions, t, positions
-        if start_positions is None and t < record_from <= t_new:
-            positions += rng.normal(size=(n_levels, d)) * math.sqrt(record_from - t)
-            t = record_from
-            np.mod(positions, 1.0, out=positions)
-            start_positions = positions.copy()
-        if t_new > t:
-            positions += rng.normal(size=(n_levels, d)) * math.sqrt(t_new - t)
-            t = t_new
-            np.mod(positions, 1.0, out=positions)
-        return t
-
-    for te in times:
-        while grid_times is not None and gi < grid_times.size and grid_times[gi] <= te:
-            advance_to(grid_times[gi])
+    for te in times[split:]:
+        while gi < len(grid) and grid[gi] <= te:
+            _step(positions, grid[gi] - t, rng)
+            t = grid[gi]
             grid_pos.append(positions.copy())
             gi += 1
-        advance_to(te)
-        groups = draw_groups(rng)
-        _apply_groups(positions, groups)
-        if t >= record_from:
-            rec_times.append(t)
-            rec_groups.append(groups)
-            rec_pos.append(positions.copy())
-    while grid_times is not None and gi < grid_times.size:
-        advance_to(grid_times[gi])
+        rec_groups.append(_step(positions, te - t, rng, draw_groups))
+        t = te
+        rec_pos.append(positions.copy())
+    for tg in grid[gi:]:
+        _step(positions, tg - t, rng)
+        t = tg
         grid_pos.append(positions.copy())
-        gi += 1
-    advance_to(0.0)
+    if t < 0.0:
+        _step(positions, -t, rng)
     return ForwardRun(
-        times=np.array(rec_times),
+        times=np.array(times[split:]),
         groups=rec_groups,
         positions=rec_pos,
         start_time=record_from,
@@ -276,13 +308,11 @@ def cannings_simulate(
         warmup = default_warmup(pair)
     positions = rng.uniform(size=(law.N, d))
     run = _run_events(
-        law.N,
-        d,
+        positions,
         warmup + horizon,
         T_N,
         lambda r: _cannings_groups(law, r),
         rng,
-        positions,
         -horizon,
         grid_dt,
     )
@@ -325,20 +355,28 @@ def lookdown_simulate(
     if n < 1:
         raise ValueError("need at least one level")
     total_rate, menu = _lookdown_event_menu(spec, n)
+    # the pick among the menu, and each atom's basket law, computed once
     rates = np.array([r for r, _ in menu])
+    pick = rates / rates.sum()
+
+    def basket_law(xi) -> np.ndarray:
+        probs = np.array(list(xi) + [max(0.0, 1.0 - sum(xi))])
+        return probs / probs.sum()
+
+    baskets = [None if xi is None else basket_law(xi) for _, (_, xi) in menu]
 
     def draw_groups(r: np.random.Generator) -> list[tuple[int, ...]]:
         if not menu:
             return []
-        kind, xi = menu[r.choice(len(menu), p=rates / rates.sum())][1]
+        k = r.choice(len(menu), p=pick)
+        kind, xi = menu[k][1]
         if kind == "pair":
-            i = int(r.integers(n))
-            j = int(r.integers(n - 1))
+            i = _below(r, n)
+            j = _below(r, n - 1)
             if j >= i:
                 j += 1
             return [(min(i, j) + 1, max(i, j) + 1)]
-        probs = np.array(list(xi) + [max(0.0, 1.0 - sum(xi))])
-        assign = r.choice(probs.size, size=n, p=probs / probs.sum())
+        assign = r.choice(len(xi) + 1, size=n, p=baskets[k])
         groups = []
         for b in range(len(xi)):
             members = tuple(int(v) + 1 for v in np.flatnonzero(assign == b))
@@ -351,8 +389,8 @@ def lookdown_simulate(
         warmup = default_warmup(pair if pair > 0 else total_rate)
     positions = rng.uniform(size=(n, d))
     run = _run_events(
-        n, d, warmup + horizon, total_rate if menu else 0.0, draw_groups, rng,
-        positions, -horizon, grid_dt,
+        positions, warmup + horizon, total_rate if menu else 0.0, draw_groups,
+        rng, -horizon, grid_dt,
     )
     run.meta = {"model": "lookdown", "n": n}
     return run
@@ -489,7 +527,10 @@ class ForwardHarvester:
 
     One warm-up is paid once; genealogical observations are then harvested
     at times spaced far enough apart that their ancestral traces almost
-    never overlap.  A rolling event buffer keeps memory bounded.
+    never overlap.  Events come at exponential gaps of mean 1/event_rate,
+    each one ``_step``, the same event step as ``_run_events``.  A rolling
+    buffer keeps the times, groups and post-event positions of the events
+    of the last HARVEST_BUFFER_SPAN model time, so memory stays bounded.
     """
 
     def __init__(
@@ -501,9 +542,7 @@ class ForwardHarvester:
         rng: np.random.Generator,
         warmup: float,
     ):
-        self.n_levels = n_levels
-        self.d = d
-        self.event_rate = event_rate
+        self.mean_gap = 1.0 / event_rate
         self.draw_groups = draw_groups
         self.rng = rng
         self.t = 0.0
@@ -514,35 +553,24 @@ class ForwardHarvester:
         self.advance(warmup)
 
     def advance(self, span: float) -> None:
-        rng = self.rng
-        t_end = self.t + span
+        rng, positions, draw_groups = self.rng, self.positions, self.draw_groups
+        ev_times, ev_groups, ev_positions = (
+            self.ev_times, self.ev_groups, self.ev_positions
+        )
         t = self.t
+        t_end = t + span
         while True:
-            t_next = t + rng.exponential(1.0 / self.event_rate)
+            t_next = t + rng.exponential(self.mean_gap)
             if t_next > t_end:
                 break
-            self.positions += rng.normal(
-                size=(self.n_levels, self.d)
-            ) * math.sqrt(t_next - t)
-            np.mod(self.positions, 1.0, out=self.positions)
-            groups = self.draw_groups(rng)
-            _apply_groups(self.positions, groups)
+            ev_groups.append(_step(positions, t_next - t, rng, draw_groups))
             t = t_next
-            self.ev_times.append(t)
-            self.ev_groups.append(groups)
-            self.ev_positions.append(self.positions.copy())
-        self.positions += rng.normal(size=(self.n_levels, self.d)) * math.sqrt(
-            t_end - t
-        )
-        np.mod(self.positions, 1.0, out=self.positions)
+            ev_times.append(t)
+            ev_positions.append(positions.copy())
+        _step(positions, t_end - t, rng)
         self.t = t_end
-        cut = 0
-        while self.ev_times and self.ev_times[cut] < t_end - HARVEST_BUFFER_SPAN:
-            cut += 1
-        if cut:
-            del self.ev_times[:cut]
-            del self.ev_groups[:cut]
-            del self.ev_positions[:cut]
+        cut = bisect.bisect_left(ev_times, t_end - HARVEST_BUFFER_SPAN)
+        del ev_times[:cut], ev_groups[:cut], ev_positions[:cut]
 
     def observe(self, n: int):
         """(sample positions now, first-merge backward time, partition after

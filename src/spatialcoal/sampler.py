@@ -50,6 +50,11 @@ DRIFT_CUTOFF = 255  # and its frequency cutoff
 SDE_T_MAX = 50.0  # censoring time of the pair-separation diffusion
 SDE_STEP_CAP = 0.05  # its step is at most SDE_STEP_CAP r^2 at separation r
 RESIDUAL_BLOCK_ELEMENTS = 2**16  # image-sum terms per pair-law kernel call
+DEEP_FORESTS = (
+    "inverse-CDF time tables cover at most two merge events; "
+    "draw deeper forests with sir_sample "
+    "(sample-coalescent --method sir)"
+)
 
 
 @dataclass
@@ -179,6 +184,11 @@ class ExactCoalescentSampler:
         self.table = table
         self.cutoff = SPECTRAL_CUTOFF
         self.forests = enumerate_forests(x.partition, table.is_absorbing)
+        # a deeper forest that can occur would fail every draw that picks
+        # it, so refuse before paying for the forest weights
+        for f in self.forests:
+            if f.m > 2 and all(r > 0 for r in _forest_rates(table, f)[0]):
+                raise NotImplementedError(DEEP_FORESTS)
         weights = []
         for f in self.forests:
             if f.is_trivial:
@@ -196,11 +206,7 @@ class ExactCoalescentSampler:
         if f in self._tables:
             return self._tables[f]
         if f.m > 2:
-            raise NotImplementedError(
-                "inverse-CDF time tables cover at most two merge events; "
-                "draw deeper forests with sir_sample "
-                "(sample-coalescent --method sir)"
-            )
+            raise NotImplementedError(DEEP_FORESTS)
         _, lams = _forest_rates(self.table, f)
         grid = TIME_GRID if f.m == 1 else max(48, TIME_GRID // 8)
         mids = (np.arange(grid) + 0.5) / grid

@@ -1,6 +1,7 @@
 """Cannings per-generation merger probabilities, forward runs, and
 genealogy extraction."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from scipy import stats
 
 from spatialcoal.forward import (
+    HARVEST_BUFFER_SPAN,
     ForwardHarvester,
+    _below,
     _cannings_groups,
     OffspringLaw,
     cannings_p_rates,
@@ -325,3 +328,130 @@ def test_harvester_observes_pairs():
             assert len(part) == 1
             assert set(locs) == {frozenset({1, 2})}
     assert got > 10
+
+
+def test_harvester_trims_a_buffer_older_than_its_span():
+    # rare events over long spans: on the ninth advance every buffered event
+    # is older than the span, and the trim used to read past the buffer
+    h = ForwardHarvester(4, 1, 0.05, lambda r: [], np.random.default_rng(0), 1.0)
+    for _ in range(9):
+        h.advance(100.0)
+        assert len(h.ev_times) == len(h.ev_groups) == len(h.ev_positions)
+        assert all(t >= h.t - HARVEST_BUFFER_SPAN for t in h.ev_times)
+    assert h.t == 901.0 and h.ev_times == []
+
+
+def test_below_draws_what_integers_draws():
+    # the same numbers and the same stream as Generator.integers, with other
+    # draws in between, for bounds from 1 (no draw) to 2**32
+    bounds = [1, 2, 3, 29, 30, 1000, 2**31 + 5, 2**32 - 1, 2**32]
+    bounds += np.random.default_rng(1).integers(1, 5000, size=200).tolist()
+
+    def draws(below, seed):
+        rng = np.random.default_rng(seed)
+        out = []
+        for k, n in enumerate(bounds):
+            out.append(below(rng, n))
+            if k % 3 == 0:
+                out.append(rng.normal(size=2).tolist())
+            if k % 7 == 0:
+                out.append(rng.permutation(5).tolist())
+        return out, rng.bit_generator.state
+
+    for seed in range(20):
+        assert draws(_below, seed) == draws(lambda r, n: int(r.integers(n)), seed)
+
+
+def _digest(*parts) -> str:
+    """sha256 over arrays (their bytes) and other values (their repr)."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(part.tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+def _run_digest(run) -> str:
+    return _digest(
+        run.times,
+        run.groups,
+        np.array(run.positions),
+        "none" if run.grid_positions is None else run.grid_positions,
+        run.end_positions,
+        run.start_positions,
+    )
+
+
+# Exact digests of forward runs: any change to the order or count of random
+# draws, or to the float operations of an event, shows up here.
+
+
+def test_cannings_pair_resampling_stream_is_pinned():
+    law = OffspringLaw("pair-resampling", 30)
+    rng = np.random.default_rng(11)
+    run = cannings_simulate(law, 435.0, 1.0, 1, rng, warmup=2.0, grid_dt=0.25)
+    assert run.times.size == 420 and run.grid_positions.shape == (5, 30, 1)
+    assert _run_digest(run) == (
+        "2d9e59228e3385573c81e72d27572518085ef1bb96edc37b6fc50f6de5459a8f"
+    )
+
+
+def test_cannings_dirac_family_stream_is_pinned():
+    # families of 4 and 2, so every event copies two groups, in d = 2
+    law = OffspringLaw("dirac-family", 8, vector=(4, 2, 1, 1, 0, 0, 0, 0))
+    rng = np.random.default_rng(12)
+    run = cannings_simulate(law, 20.0, 2.0, 2, rng, warmup=1.0, grid_dt=0.5)
+    assert run.times.size == 43 and run.grid_positions.shape == (5, 8, 2)
+    assert _run_digest(run) == (
+        "2905b8aab478721da5fac1a678851553af792c7fb56d5717069495e524f0ad10"
+    )
+
+
+def test_lookdown_xi_stream_is_pinned():
+    X = XiMeasure(kingman_mass=1.0, atoms=(((0.5, 0.25), 2.0),))
+    run = lookdown_simulate(X, 4, 3.0, 1, np.random.default_rng(13), warmup=1.0)
+    assert run.groups[:3] == [[(3, 4)], [(1, 3)], [(2, 3)]]
+    assert run.times.size == 41
+    assert _run_digest(run) == (
+        "cd950dbfbf79174a9a23f711f02cc5d90d5cba300317cbd60712eacef800bd8b"
+    )
+
+
+def test_run_without_warmup_is_pinned_and_has_a_start():
+    # no warm-up: the record starts where the run does, with no step to it;
+    # start_positions used to stay None there, so n_levels raised
+    rng = np.random.default_rng(15)
+    run = lookdown_simulate(
+        LambdaMeasure.kingman(), 4, 2.0, 1, rng, warmup=0.0, grid_dt=0.5
+    )
+    assert run.times.size == 13
+    assert _digest(
+        run.times,
+        run.groups,
+        np.array(run.positions),
+        run.grid_positions,
+        run.end_positions,
+    ) == "3fff0ec85f9fc7e6ef8d9d36ea85756fc2227da4adf4a3e88d6f43969196392b"
+    assert np.array_equal(run.start_positions, run.grid_positions[0])
+    assert run.n_levels == 4
+    extract_genealogy(run, 4)
+
+
+def test_harvester_stream_is_pinned():
+    law = OffspringLaw("pair-resampling", 10)
+    rng = np.random.default_rng(14)
+    h = ForwardHarvester(
+        10, 2, 45.0, lambda r: _cannings_groups(law, r), rng, warmup=2.0
+    )
+    obs = []
+    for _ in range(5):
+        h.advance(1.5)
+        pos, bt, part, locs = h.observe(3)
+        cells = sorted((sorted(b), v.tobytes()) for b, v in (locs or {}).items())
+        obs.append((pos.tobytes(), bt, part, cells))
+    assert len(h.ev_times) == 423
+    assert _digest(
+        obs, h.positions, np.array(h.ev_times), h.ev_groups, np.array(h.ev_positions)
+    ) == "794c479ad892e39c854634a8d34fa298b356b150f3ea75c06937d0f364596d1c"

@@ -357,6 +357,17 @@ def test_gap_tables_beyond_two_merges_name_the_sir_route():
     assert "sample-coalescent --method sir" in str(err.value)
 
 
+def test_sampler_refuses_deeper_forests_before_weighing_them():
+    # Kingman at n = 4: only three-merge forests carry weight, so every draw
+    # would fail; the constructor used to weigh them all first, for 3.3 s
+    x = SpatialConfig.from_points([[0.1], [0.3], [0.55], [0.8]])
+    table = build_rate_table(LambdaMeasure.kingman(), 4)
+    t0 = time.perf_counter()
+    with pytest.raises(NotImplementedError, match="sir_sample"):
+        ExactCoalescentSampler(x, table)
+    assert time.perf_counter() - t0 < 0.5
+
+
 FAULT_PROBE = """
 import resource
 import numpy as np
