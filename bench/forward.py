@@ -27,20 +27,14 @@ round (neighbours in time), and the machine they ran on.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import statistics
-import subprocess
 import sys
-from pathlib import Path
+
+from common import alternate, machine, parse_trees, ratios, summary, write
 
 REPEATS = 11
 CALLS = 5
 HARVEST_CALLS = 20
 LOOKDOWN_TIME = 400.0
-ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 CHILD = f"""
 import json, time
@@ -85,62 +79,15 @@ print(json.dumps({{"cannings_us": cannings_us, "harvester_us": harvester_us,
 """
 
 
-def sample(tree: Path) -> dict:
-    env = dict(os.environ, **ENV, PYTHONPATH=str(tree / "src"))
-    out = subprocess.run(
-        [sys.executable, "-c", CHILD], env=env, cwd=tree,
-        capture_output=True, text=True, check=True,
-    )
-    return json.loads(out.stdout.strip().splitlines()[-1])
-
-
-def summary(runs: list[dict]) -> dict:
-    out = {}
-    for name in runs[0]:
-        vals = [r[name] for r in runs]
-        q1, _, q3 = statistics.quantiles(vals, n=4)
-        out[name] = {"median": statistics.median(vals), "q1": q1, "q3": q3,
-                     "samples": vals}
-    return out
-
-
-def ratios(before: list[dict], after: list[dict]) -> list[dict]:
-    return [{name: a[name] / b[name] for name in b} for b, a in zip(before, after)]
-
-
 def main() -> int:
-    here = Path(__file__).resolve().parent.parent
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--before", type=Path, required=True)
-    ap.add_argument("--after", type=Path, default=here)
-    ap.add_argument("--out", type=Path, default=here / "BENCH_forward.json")
-    args = ap.parse_args()
-    trees = {"before": args.before.resolve(), "after": args.after.resolve()}
-    for tree in trees.values():
-        if not (tree / "src" / "spatialcoal" / "forward.py").is_file():
-            ap.error(f"{tree} is not a spatialcoal checkout")
-    runs = {label: [] for label in trees}
-    for i in range(REPEATS):
-        order = list(trees) if i % 2 == 0 else list(trees)[::-1]
-        for label in order:
-            runs[label].append(sample(trees[label]))
-    result = {
-        "machine": {
-            "platform": platform.platform(),
-            "processor": platform.processor() or platform.machine(),
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-        },
+    trees, out = parse_trees(__doc__, "BENCH_forward.json")
+    runs = alternate(trees, REPEATS, CHILD)
+    write(out, {
+        "machine": machine(),
         "repeats": REPEATS,
         **{label: summary(r) for label, r in runs.items()},
         "after_over_before": summary(ratios(runs["before"], runs["after"])),
-    }
-    args.out.write_text(json.dumps(result, indent=2) + "\n")
-    for name in result["before"]:
-        b, a = result["before"][name]["median"], result["after"][name]["median"]
-        r = result["after_over_before"][name]
-        print(f"{name:14s} before {b:.4g}  after {a:.4g}  after/before median "
-              f"{r['median']:.3g} ({r['q1']:.3g}-{r['q3']:.3g})")
+    })
     return 0
 
 

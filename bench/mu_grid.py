@@ -24,19 +24,13 @@ the machine they ran on.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import statistics
-import subprocess
 import sys
-from pathlib import Path
+
+from common import alternate, machine, parse_trees, summary, write
 
 GRID = 4096
 GRID_CALLS = 21
 REPEATS = 7
-ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 CHILD = f"""
 import json, resource, time
@@ -64,56 +58,15 @@ print(json.dumps({{"import_s": import_s, "import_maxrss_mib": maxrss,
 """
 
 
-def sample(tree: Path) -> dict:
-    env = dict(os.environ, **ENV, PYTHONPATH=str(tree / "src"))
-    out = subprocess.run(
-        [sys.executable, "-c", CHILD], env=env, cwd=tree,
-        capture_output=True, text=True, check=True,
-    )
-    return json.loads(out.stdout.strip().splitlines()[-1])
-
-
-def summary(runs: list[dict]) -> dict:
-    out = {}
-    for name in runs[0]:
-        vals = [r[name] for r in runs]
-        q1, _, q3 = statistics.quantiles(vals, n=4)
-        out[name] = {"median": statistics.median(vals), "q1": q1, "q3": q3,
-                     "samples": vals}
-    return out
-
-
 def main() -> int:
-    here = Path(__file__).resolve().parent.parent
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--before", type=Path, required=True)
-    ap.add_argument("--after", type=Path, default=here)
-    ap.add_argument("--out", type=Path, default=here / "BENCH_mu_grid.json")
-    args = ap.parse_args()
-    trees = {"before": args.before.resolve(), "after": args.after.resolve()}
-    for tree in trees.values():
-        if not (tree / "src" / "spatialcoal" / "cli.py").is_file():
-            ap.error(f"{tree} is not a spatialcoal checkout")
-    runs = {label: [] for label in trees}
-    for i in range(REPEATS):
-        order = list(trees) if i % 2 == 0 else list(trees)[::-1]
-        for label in order:
-            runs[label].append(sample(trees[label]))
-    result = {
-        "machine": {
-            "platform": platform.platform(),
-            "processor": platform.processor() or platform.machine(),
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-        },
+    trees, out = parse_trees(__doc__, "BENCH_mu_grid.json")
+    runs = alternate(trees, REPEATS, CHILD)
+    write(out, {
+        "machine": machine(),
         "grid": GRID,
         "repeats": REPEATS,
         **{label: summary(r) for label, r in runs.items()},
-    }
-    args.out.write_text(json.dumps(result, indent=2) + "\n")
-    for name in result["before"]:
-        b, a = result["before"][name]["median"], result["after"][name]["median"]
-        print(f"{name:20s} before {b:.6g}  after {a:.6g}  ratio {a / b:.3g}")
+    })
     return 0
 
 

@@ -10,6 +10,7 @@ the event log backward.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -55,8 +56,13 @@ class OffspringLaw:
             return (2, 0) + (1,) * (self.N - 2)
         return tuple(self.vector)
 
+    @functools.cached_property
+    def _base(self) -> np.ndarray:
+        return np.array(self.base_vector())
+
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return np.asarray(rng.permutation(np.array(self.base_vector())))
+        # permutation copies its input, so the cached base stays put
+        return rng.permutation(self._base)
 
 
 @dataclass
@@ -173,6 +179,21 @@ def _below(rng: np.random.Generator, n: int) -> int:
         while m & 0xFFFFFFFF < threshold:
             m = bits.next_uint32(bits.state) * n
     return m >> 32
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF that ``Generator.choice`` builds from probabilities ``p``."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _choose(rng: np.random.Generator, cdf: np.ndarray, size: int | None = None):
+    """``rng.choice(cdf.size, size, p=p)`` for ``cdf = _cdf(p)``: numpy's own
+    steps (one uniform per index, a right-side search of the CDF, one draw
+    even for a single entry), so the same indices and the same stream,
+    without rebuilding and checking the CDF on every call."""
+    return cdf.searchsorted(rng.random(size), side="right")
 
 
 def _cannings_groups(
@@ -355,20 +376,21 @@ def lookdown_simulate(
     if n < 1:
         raise ValueError("need at least one level")
     total_rate, menu = _lookdown_event_menu(spec, n)
-    # the pick among the menu, and each atom's basket law, computed once
+    # the CDFs of the pick among the menu and of each atom's basket law,
+    # computed once
     rates = np.array([r for r, _ in menu])
-    pick = rates / rates.sum()
+    pick = _cdf(rates / rates.sum()) if menu else None
 
     def basket_law(xi) -> np.ndarray:
         probs = np.array(list(xi) + [max(0.0, 1.0 - sum(xi))])
-        return probs / probs.sum()
+        return _cdf(probs / probs.sum())
 
     baskets = [None if xi is None else basket_law(xi) for _, (_, xi) in menu]
 
     def draw_groups(r: np.random.Generator) -> list[tuple[int, ...]]:
         if not menu:
             return []
-        k = r.choice(len(menu), p=pick)
+        k = _choose(r, pick)
         kind, xi = menu[k][1]
         if kind == "pair":
             i = _below(r, n)
@@ -376,7 +398,7 @@ def lookdown_simulate(
             if j >= i:
                 j += 1
             return [(min(i, j) + 1, max(i, j) + 1)]
-        assign = r.choice(len(xi) + 1, size=n, p=baskets[k])
+        assign = _choose(r, baskets[k], n)
         groups = []
         for b in range(len(xi)):
             members = tuple(int(v) + 1 for v in np.flatnonzero(assign == b))

@@ -11,11 +11,15 @@ carries a frequency vector: integrating an internal node's location forces
 the frequencies of incident branches to balance, and leaves contribute
 phases.  Every message that reaches the Fourier part is then smooth on the
 scale of SPLIT_TIME, so a few dozen frequencies suffice at any level times.
-The quadrature and Monte Carlo routes of N(x), the sampler's gap tables and
-its SIR weights all call it.  The quadrature route is one fixed tensor
-product of log-time Gauss-Legendre rules, one per level gap, contracted as
-one batch per forest.  The spectral route integrates the level times in
-closed form instead, and the d = 1 pair law has its own closed form.
+The Monte Carlo route of N(x) and the sampler's SIR weights call it on
+rows.  The quadrature route (one fixed tensor product of log-time
+Gauss-Legendre rules, one per level gap) and the sampler's gap tables are
+tensor grids, and call ``_contract_grid``: it contracts everything below
+the last level once per prefix of level times, and then every root born at
+the last level as one matrix product over Fourier modes and last gaps, the
+few cells whose last level is born before SPLIT_TIME staying on rows.  The
+spectral route integrates the level times in closed form instead, and the
+d = 1 pair law has its own closed form.
 """
 
 from __future__ import annotations
@@ -76,7 +80,9 @@ def _contract(
     """The torus tree integral at a batch of level-time vectors, one per row.
 
     Rows are grouped by how many levels are born before SPLIT_TIME, and
-    contracted CHUNK_ROWS at a time by ``_contract_rows``.
+    contracted CHUNK_ROWS at a time by ``_contract_rows``, which rebuilds
+    every message per row.  A tensor grid of level times goes to
+    ``_contract_grid`` instead, which builds each only once per prefix.
     """
     if f.is_trivial:
         raise ValueError("forest has no internal nodes")
@@ -103,27 +109,34 @@ def _contract_rows(
     short_levels: int,
 ) -> np.ndarray:
     """The tree integral at rows whose first ``short_levels`` levels are born
-    before SPLIT_TIME, per coordinate, leaves to roots.
+    before SPLIT_TIME: the product over coordinates of every root's value
+    from ``_coordinate_factors``.  The frequency cutoff comes from
+    ``freq_cutoff`` of the smallest collapsed variance of a long node, which
+    is at least SPLIT_TIME / (leaves below)."""
+    tree = birth, kids, r = _branches(f, taus, integrate_out)
+    long = [v for v in kids if birth[v] > short_levels]
+    K = freq_cutoff(min(float(r[v].min()) for v in long)) if long else 0
+    out = np.ones(taus.shape[0])
+    for values, _ in _coordinate_factors(f, x, integrate_out, tree, short_levels, K):
+        for value in values:
+            out = out * value
+    return out
 
-    A node born before SPLIT_TIME (short) is collapsed in real space: its
-    subtree's Gaussians, unwrapped over IMAGE_OFFSETS per leaf, combine by
-    ``gaussian_product_collapse`` into weights W_q at means xbar_q with one
-    variance r, so the node's message in z is sum_q W_q p_r(z - xbar_q)
-    exactly.  A short root contributes sum_q W_q; a short node under a long
-    one sends the Fourier series sum_q W_q e^{-2 pi i k xbar_q - 2 pi^2 k^2 r}.
-    Above them, every branch carries a frequency vector: a leaf its phase
-    exp(-2 pi i k y), and a long internal node the convolution of its
-    children's messages, each damped by its branch.  The leaf
-    ``integrate_out`` has unit mass and drops out of both parts.  The
-    frequency cutoff comes from ``freq_cutoff`` of the smallest collapsed
-    variance of a long node, which is at least SPLIT_TIME / (leaves below).
-    """
+
+def _branches(
+    f: Forest,
+    taus: np.ndarray,
+    integrate_out: Node | None,
+    open_level: int | None = None,
+):
+    """The birth level of every node; the kept children of every internal
+    node with their branch lengths, per row, in birth order so that children
+    come before their parents; and r[v], the variance of the product of the
+    messages entering v (0 at a leaf).  r is left out for the nodes born at
+    ``open_level``, whose branches may have zero length."""
     T = taus.shape[0]
     times = np.zeros((T, f.m + 1))  # column i: level time i
     times[:, 1:] = taus
-    # the kept children of every internal node with their branch lengths, in
-    # birth order, so that children come before their parents; r[v] is the
-    # variance of the product of the messages entering v (0 at a leaf)
     birth: dict[Node, int] = {}
     kids: dict[Node, list[tuple[Node, np.ndarray]]] = {}
     r: dict[Node, np.ndarray] = {}
@@ -140,10 +153,39 @@ def _contract_rows(
                 for u in f.levels[i - 1].blocks
                 if u <= v and u != integrate_out
             ]
-            r[v] = 1.0 / sum(1.0 / (r[u] + length) for u, length in kids[v])
+            if i != open_level:
+                r[v] = 1.0 / sum(1.0 / (r[u] + length) for u, length in kids[v])
+    return birth, kids, r
+
+
+def _coordinate_factors(
+    f: Forest,
+    x: SpatialConfig,
+    integrate_out: Node | None,
+    tree: tuple,
+    short_levels: int,
+    K: int,
+    open_level: int | None = None,
+):
+    """Per coordinate, leaves to roots at cutoff K over the ``_branches`` of
+    a batch of rows: the value of every root in order, and for every root
+    born at ``open_level``, its children's messages damped by their branches.
+
+    A node born at or before level ``short_levels`` (short) is collapsed in
+    real space: its subtree's Gaussians, unwrapped over IMAGE_OFFSETS per
+    leaf, combine by ``gaussian_product_collapse`` into weights W_q at means
+    xbar_q with one variance r, so the node's message in z is
+    sum_q W_q p_r(z - xbar_q) exactly.  A short root contributes sum_q W_q;
+    a short node under a long one sends the Fourier series
+    sum_q W_q e^{-2 pi i k xbar_q - 2 pi^2 k^2 r}.  Above them, every branch
+    carries a frequency vector: a leaf its phase exp(-2 pi i k y), and a long
+    internal node the convolution of its children's messages, each damped by
+    its branch; a long root takes mode 0 of that product.  The leaf
+    ``integrate_out`` has unit mass and drops out of both parts.
+    """
+    birth, kids, r = tree
     short = [v for v in kids if birth[v] <= short_levels]
     long = [v for v in kids if birth[v] > short_levels]
-    K = freq_cutoff(min(float(r[v].min()) for v in long)) if long else 0
     ks = np.arange(-K, K + 1)
     decay = -2.0 * math.pi**2 * ks**2
     unit = (ks == 0)[None, :]
@@ -159,7 +201,6 @@ def _contract_rows(
         combos = np.array(list(itertools.product(*offsets)))
         images.update({u: (below[0], combos[:, j]) for j, u in enumerate(below)})
 
-    out = np.ones(T)
     for c in range(x.d):
         y = {u: float(x.positions[u][c]) for u in f.leaves}
         # real space: per image, the mean and weight of every short subtree
@@ -182,18 +223,21 @@ def _contract_rows(
         for v in top:
             if v in parent:
                 up[v] = _image_series(weight[v], xbar[v], K) * np.exp(r[v] * decay)
+        values, opened = [], {}
         for v in long:
             ms = [np.exp(length * decay) * up.pop(u) for u, length in kids[v]]
             if v in parent:
                 up[v] = functools.reduce(_convolve_modes, ms)
+            elif birth[v] == open_level:
+                opened[v] = ms
             else:  # a root needs only k = 0 of the product of its messages
                 *rest, last = ms
                 acc = functools.reduce(_convolve_modes, rest) if rest else unit
-                out = out * (acc * last[:, ::-1]).sum(1).real
+                values.append((acc * last[:, ::-1]).sum(1).real)
         for v in top:
             if v not in parent:
-                out = out * weight[v].sum(1)
-    return out
+                values.append(weight[v].sum(1))
+        yield values, opened
 
 
 def _convolve_modes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -223,14 +267,129 @@ def _image_series(w: np.ndarray, xbar: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
+def _contract_grid(
+    f: Forest,
+    level_gaps: list[np.ndarray],
+    x: SpatialConfig,
+    integrate_out: Node | None = None,
+) -> np.ndarray:
+    """The tree integral on a tensor grid of level gaps, one 1-D array per
+    gap: entry (j_1, ..., j_m) has the gaps level_gaps[0][j_1], ...,
+    level_gaps[-1][j_m].  A prefix is a cell of the grid of the first m - 1
+    gaps, and the last gap s runs over ``level_gaps[-1]``.
+
+    Every branch alive in the last gap ends at the last level, so the gap s
+    enters a root born there only through exp(s A(kappa)), with
+    A(kappa) = -2 pi^2 sum_l kappa_l^2 over the balanced modes kappa of its
+    branches.  Everything below the last level is contracted once per prefix
+    by ``_coordinate_factors``, at one cutoff for the whole grid, the
+    largest that ``_contract`` would use on any of its rows; such a root is
+    then one matrix product over modes (``_root_over_gaps``), roots born
+    earlier scale rows, and coordinates multiply.  Cells whose last level is
+    born before SPLIT_TIME stay on rows (``spatial_integral_g_batch``), and
+    so does a grid whose last level makes a root of four or more branches.
+    """
+    if f.is_trivial:
+        raise ValueError("forest has no internal nodes")
+    if len(level_gaps) != f.m:
+        raise ValueError("level-gap grid does not match the forest")
+    *head, gaps = [np.asarray(g, dtype=float) for g in level_gaps]
+    if head:
+        mesh = np.meshgrid(*head, indexing="ij")
+        prefixes = np.cumsum(np.stack([g.ravel() for g in mesh], axis=1), axis=1)
+    else:
+        prefixes = np.zeros((1, 0))
+    if not ((np.diff(prefixes, axis=1, prepend=0.0) > 0).all() and (gaps > 0).all()):
+        raise ValueError("branch length must be positive")
+    P = prefixes.shape[0]
+    start = prefixes[:, -1] if f.m > 1 else np.zeros(P)
+    last = start[:, None] + gaps[None, :]
+    out = np.empty((P, gaps.size))
+    on_rows = last < SPLIT_TIME
+    # a root with p kept children born at the last level has (2K+1)^(p-1)
+    # mode vectors; past three children they outnumber the cells, so such a
+    # grid stays on rows
+    widest = max(
+        sum(u <= v and u != integrate_out for u in f.levels[-2].blocks)
+        for v in f.levels[-1].blocks
+        if f.birth_level(v) == f.m
+    )
+    if widest > 3:
+        on_rows[:] = True
+    if on_rows.any():
+        i, j = np.nonzero(on_rows)
+        rows = np.column_stack([prefixes[i], last[i, j]])
+        out[i, j] = spatial_integral_g_batch(f, rows, x, integrate_out)
+    shape = [g.size for g in head] + [gaps.size]
+    kept = np.flatnonzero(~on_rows.all(axis=1))
+    if not kept.size:
+        return out.reshape(shape)
+    pre = prefixes[kept]
+    short = (pre < SPLIT_TIME).sum(axis=1)
+    # the collapsed variances grow with the last gap, so each prefix's
+    # smallest sits at its shortest gap off the row path
+    s_min = np.where(on_rows[kept], np.inf, gaps).min(axis=1)
+    birth, kids, r = _branches(
+        f, np.column_stack([pre, start[kept] + s_min]), integrate_out
+    )
+    t_min = np.full(kept.size, np.inf)
+    for v in kids:
+        t_min = np.minimum(t_min, np.where(birth[v] > short, r[v][:, 0], np.inf))
+    K = freq_cutoff(float(t_min.min()))
+    for j in np.unique(short):
+        sel = kept[short == j]
+        times = np.column_stack([prefixes[sel], start[sel]])
+        tree = _branches(f, times, integrate_out, open_level=f.m)
+        vals = np.ones((sel.size, gaps.size))
+        for values, opened in _coordinate_factors(
+            f, x, integrate_out, tree, int(j), K, open_level=f.m
+        ):
+            for value in values:
+                vals *= value[:, None]
+            for ms in opened.values():
+                vals *= _root_over_gaps(ms, gaps)
+        out[sel] = np.where(on_rows[sel], out[sel], vals)
+    return out.reshape(shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _balanced_modes(p: int, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mode vectors (kappa_1, ..., kappa_p) in -K..K^p that sum to zero,
+    as indices into -K..K of shape (p, n), sorted by sum_l kappa_l^2; with
+    the first column of each run of equal sums, and that sum per run."""
+    free = np.array(list(itertools.product(range(-K, K + 1), repeat=p - 1)), dtype=int)
+    modes = np.column_stack([free, -free.sum(axis=1)])
+    modes = modes[np.abs(modes[:, -1]) <= K]
+    a = (modes**2).sum(axis=1)
+    order = np.argsort(a, kind="stable")
+    modes, a = modes[order], a[order]
+    starts = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
+    return (modes + K).T, starts, a[starts]
+
+
+def _root_over_gaps(ms: list[np.ndarray], gaps: np.ndarray) -> np.ndarray:
+    """Mode 0 of the product of a root's incoming messages ``ms`` (rows on
+    the first axis, modes -K..K on the second) after every branch is damped
+    by a further gap s, for each gap: sum_kappa C[i, kappa] exp(s_j A(kappa))
+    with C the product of the messages at the modes kappa, summed over the
+    kappa of one A first."""
+    modes, starts, a = _balanced_modes(len(ms), (ms[0].shape[1] - 1) // 2)
+    C = functools.reduce(np.multiply, (m[:, k] for m, k in zip(ms, modes))).real
+    damp = np.exp(np.outer(-2.0 * math.pi**2 * a, gaps))
+    return np.add.reduceat(C, starts, axis=1) @ damp
+
+
 def spatial_integral_g_batch(
-    f: Forest, taus: np.ndarray, x: SpatialConfig
+    f: Forest,
+    taus: np.ndarray,
+    x: SpatialConfig,
+    integrate_out: Node | None = None,
 ) -> np.ndarray:
     """The torus tree integral at a batch of level-time vectors.
 
     ``taus`` has shape (T, m); one value per row is returned.
     """
-    return _contract(f, taus, x)
+    return _contract(f, taus, x, integrate_out)
 
 
 # -- Normalization -----------------------------------------------------------
@@ -281,19 +440,17 @@ def _quad_forest(
 ) -> float:
     """Integrate the rate-weighted tree integral over the time decorations of
     a forest with at most two merge events, by the tensor product of one
-    ``_gap_rule`` per level gap in a single batch of level-time rows."""
+    ``_gap_rule`` per level gap, contracted as one grid by ``_contract_grid``."""
     rates, totals = _forest_rates(table, f)
     if any(r <= 0 for r in rates):
         return 0.0
     if f.m > 2:
         raise ValueError("quadrature only supports up to two merge events")
     rules = [_gap_rule(lam) for lam in totals]
-    gaps = np.meshgrid(*(s for s, _ in rules), indexing="ij")
-    weights = np.prod(np.meshgrid(*(w for _, w in rules), indexing="ij"), axis=0)
-    taus = np.cumsum(np.stack([g.ravel() for g in gaps], axis=1), axis=1)
-    # a gap below the resolution of the level time before it becomes one ulp
-    taus[:, 1:] = np.maximum(taus[:, 1:], np.nextafter(taus[:, :-1], np.inf))
-    return math.prod(rates) * float(weights.ravel() @ _contract(f, taus, x, integrate_out))
+    g = _contract_grid(f, [s for s, _ in rules], x, integrate_out)
+    for _, w in rules:
+        g = w @ g
+    return math.prod(rates) * float(g)
 
 
 def normalization_N(
@@ -642,9 +799,10 @@ class MuSampler:
     of the folded Fourier coefficients evaluates (``mu_density_grid``); d >= 2 a
     Metropolis random walk on the torus of MCMC_STEPS steps with Gaussian
     proposals of scale MCMC_STEP, with the normalization (quadrature route,
-    a fixed Gauss rule of one batched contraction per forest) as the
+    a fixed Gauss rule of one grid contraction per forest) as the
     unnormalized target.  One target evaluation for a third point in d = 2
-    takes about 0.4 s on a 2-core machine, so a draw takes about 2 minutes.
+    takes about 0.12 s on a 2-core machine, so a draw of MCMC_STEPS + 1
+    evaluations takes about 40 s.
     """
 
     x: SpatialConfig

@@ -37,6 +37,7 @@ from .measures import RateTable, sample_nonspatial_path
 from .normalization import (
     SPECTRAL_CUTOFF,
     SPECTRAL_MAX_ELEMENTS,
+    _contract_grid,
     _forest_rates,
     _spectral_sum,
     grad_log_N_spectral,
@@ -175,8 +176,11 @@ class ExactCoalescentSampler:
     on the uniformized gap variables u_i = 1 - exp(-lambda_i s_i), under
     which the residual density is just the tree integral g; locations are
     exact Gaussian-tree draws.  The time tables have TIME_GRID cells per
-    gap for one merge event (an eighth, at least 48, for two), and the
-    forest weights truncate at ``cutoff`` = SPECTRAL_CUTOFF.
+    gap for one merge event (an eighth, at least 48, for two), a tensor grid
+    of gaps that ``_contract_grid`` evaluates as one matrix product over
+    Fourier modes per root born at the last level; a table is built at the
+    first draw of its forest.  The forest weights truncate at ``cutoff`` =
+    SPECTRAL_CUTOFF.
     """
 
     def __init__(self, x: SpatialConfig, table: RateTable):
@@ -200,7 +204,7 @@ class ExactCoalescentSampler:
             raise ArithmeticError("all forest weights vanished")
         self.forest_probs = w / w.sum()
         self.normalization = float(w.sum())
-        self._tables: dict[Forest, tuple[np.ndarray, tuple[int, ...]]] = {}
+        self._tables: dict[Forest, np.ndarray] = {}
 
     def _gap_table(self, f: Forest):
         if f in self._tables:
@@ -210,28 +214,19 @@ class ExactCoalescentSampler:
         _, lams = _forest_rates(self.table, f)
         grid = TIME_GRID if f.m == 1 else max(48, TIME_GRID // 8)
         mids = (np.arange(grid) + 0.5) / grid
-        shape = (grid,) * f.m
         gaps = [-np.log1p(-mids) / lam for lam in lams]
-        if f.m == 1:
-            taus = gaps[0][:, None]
-        else:
-            g0, g1 = np.meshgrid(gaps[0], gaps[1], indexing="ij")
-            taus = np.stack([g0.ravel(), g0.ravel() + g1.ravel()], axis=1)
         # truncation ringing can leave values near -1e-15 where the true
         # density underflows; clamp so the table is a valid categorical
-        vals = np.maximum(
-            spatial_integral_g_batch(f, taus, self.x).reshape(shape), 0.0
-        )
-        self._tables[f] = (vals, shape)
+        self._tables[f] = np.maximum(_contract_grid(f, gaps, self.x), 0.0)
         return self._tables[f]
 
     def _sample_times(self, f: Forest, rng: np.random.Generator) -> TimeDecoration:
-        vals, shape = self._gap_table(f)
+        vals = self._gap_table(f)
         flat = vals.reshape(-1)
         cell = rng.choice(flat.size, p=flat / flat.sum())
-        idx = np.unravel_index(cell, shape)
+        idx = np.unravel_index(cell, vals.shape)
         _, lams = _forest_rates(self.table, f)
-        grid = shape[0]
+        grid = vals.shape[0]
         ss = []
         for j, lam in zip(idx, lams):
             u = (j + rng.uniform()) / grid
@@ -588,6 +583,8 @@ def sde_sample(
     drops below ``merge_radius`` the group merges at its mean position and
     the reduced system restarts.  Only meaningful in d >= 2, where binary
     collisions of the ideal dynamics happen at the blow-up of the drift.
+    The drift is ``grad_log_N_spectral`` at cutoff 24, one spectral sum per
+    forest per step; no ``check`` experiment runs this sampler yet.
     """
     if x.d < 2:
         raise ValueError("the drift-SDE construction requires d >= 2")

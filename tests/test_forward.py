@@ -13,6 +13,8 @@ from spatialcoal.forward import (
     ForwardHarvester,
     _below,
     _cannings_groups,
+    _cdf,
+    _choose,
     OffspringLaw,
     cannings_p_rates,
     cannings_rate_table,
@@ -360,6 +362,32 @@ def test_below_draws_what_integers_draws():
 
     for seed in range(20):
         assert draws(_below, seed) == draws(lambda r, n: int(r.integers(n)), seed)
+
+
+@pytest.mark.parametrize("p", [[1.0], [0.2, 0.5, 0.3], [0.45, 0.0, 0.55]])
+@pytest.mark.parametrize("size", [None, 7])
+def test_choose_draws_what_choice_draws(p, size):
+    # the same indices and the same stream as Generator.choice, one uniform
+    # per index even for a one-entry p
+    p = np.array(p)
+    cdf = _cdf(p)
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(10_000):
+        want = a.choice(p.size, size=size, p=p)
+        got = _choose(b, cdf, size)
+        assert np.array_equal(got, want)
+    assert a.bit_generator.state == b.bit_generator.state
+    assert b.bit_generator.state != np.random.default_rng(3).bit_generator.state
+
+
+def test_offspring_law_draws_are_unchanged_by_its_cached_base():
+    law = OffspringLaw("dirac-family", 8, vector=(4, 2, 1, 1, 0, 0, 0, 0))
+    a, b = np.random.default_rng(6), np.random.default_rng(6)
+    for _ in range(50):
+        got = law.sample(a)
+        assert np.array_equal(got, b.permutation(np.array(law.base_vector())))
+        got[:] = -1  # a caller's writes must not reach the next draw
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def _digest(*parts) -> str:

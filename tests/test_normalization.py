@@ -9,13 +9,16 @@ import pytest
 from scipy import integrate, signal
 
 from spatialcoal.experiments import quad_pair_reference, stationary_pair_separation_cdf
-from spatialcoal.forests import Forest, TimeDecoration
+from spatialcoal.forests import Forest, TimeDecoration, enumerate_forests
 from spatialcoal.kernels import SpatialConfig, torus_kernel
-from spatialcoal.measures import LambdaMeasure, RateTable, build_rate_table
+from spatialcoal.measures import LambdaMeasure, RateTable, XiMeasure, build_rate_table
 from spatialcoal.normalization import (
     SPECTRAL_MAX_ELEMENTS,
     _contract,
+    _contract_grid,
     _convolve_modes,
+    _forest_rates,
+    _gap_rule,
     extended_config,
     freq_cutoff,
     grad_log_N_spectral,
@@ -132,9 +135,7 @@ def test_integrate_out_leaves_the_pair():
                 for row in taus
             ]
         )
-        # spatial_integral_g_batch takes no integrate_out; it passes its rows
-        # to the same engine, called here directly on the whole batch
-        batch = _contract(f, taus, x, third)
+        batch = spatial_integral_g_batch(f, taus, x, integrate_out=third)
         np.testing.assert_allclose(point, want, rtol=1e-12, atol=0)
         np.testing.assert_allclose(batch, want, rtol=1e-12, atol=0)
 
@@ -363,3 +364,137 @@ def test_convolve_modes_matches_fftconvolve(K):
     for x, y in ((a, b), (b, a), (a, modes(37))):
         expected = signal.fftconvolve(x, y, axes=1)[:, K : 3 * K + 1]
         assert np.array_equal(_convolve_modes(x, y), expected)
+
+
+# -- The tensor-grid contraction against the row path ------------------------
+
+
+def _grid_rows(level_gaps):
+    """The level-time rows of a tensor grid of level gaps, row-major."""
+    mesh = np.meshgrid(*level_gaps, indexing="ij")
+    return np.cumsum(np.stack([g.ravel() for g in mesh], axis=1), axis=1)
+
+
+def _grids(f, table):
+    """The Gauss rule's gaps of a forest and the sampler's midpoint gaps."""
+    _, lams = _forest_rates(table, f)
+    mids = (np.arange(64) + 0.5) / 64
+    yield [_gap_rule(lam)[0] for lam in lams]
+    yield [-np.log1p(-mids) / lam for lam in lams]
+
+
+XI4 = build_rate_table(XiMeasure(atoms=(((0.5, 0.5), 1.0),)), 4)
+# two pairs merging at once, into two roots at the last level, and then one
+TWO_PAIRS = (Partition.singletons([1, 2, 3, 4]), Partition([{1, 2}, {3, 4}]))
+GRID_CASES = [
+    ("kingman-pair-d1", [[0.1], [0.45]], KINGMAN2, None, None),
+    ("kingman-triple-d1", [[0.1], [0.35], [0.8]], KINGMAN3, None, None),
+    ("kingman-triple-d2", [[0.1, 0.7], [0.35, 0.2], [0.8, 0.45]], KINGMAN3, None, None),
+    ("near-coincident", [[0.1], [0.1 + 1e-7], [0.6]], KINGMAN3, None, None),
+    (
+        "lambda-triple-merger",
+        [[0.1], [0.4], [0.75]],
+        build_rate_table(LambdaMeasure(atoms=((0.0, 1.0), (0.5, 1.0))), 3),
+        None,
+        None,
+    ),
+    (
+        "xi-two-roots-at-one-level",
+        [[0.1], [0.3], [0.55], [0.8]],
+        XI4,
+        None,
+        [Forest(TWO_PAIRS), Forest(TWO_PAIRS + (Partition([{1, 2, 3, 4}]),))],
+    ),
+    ("integrate-out", [[0.1], [0.35], [0.8]], KINGMAN3, 2, None),
+    (
+        "lambda-roots-of-three-and-four-branches",
+        [[0.1], [0.3], [0.55], [0.8]],
+        build_rate_table(LambdaMeasure(atoms=((0.0, 1.0), (0.5, 1.0))), 4),
+        None,
+        [
+            Forest((Partition.singletons([1, 2, 3, 4]), Partition([{1, 2, 3, 4}]))),
+            Forest(
+                (
+                    Partition.singletons([1, 2, 3, 4]),
+                    Partition([{1, 2}, {3}, {4}]),
+                    Partition([{1, 2, 3, 4}]),
+                )
+            ),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "pts,table,out,forests", [c[1:] for c in GRID_CASES], ids=[c[0] for c in GRID_CASES]
+)
+def test_grid_contraction_matches_rows(pts, table, out, forests):
+    x = SpatialConfig.from_points(pts)
+    integrate_out = None if out is None else x.partition.blocks[out]
+    if forests is None:
+        forests = enumerate_forests(x.partition, table.is_absorbing)
+    checked = 0
+    for f in forests:
+        if f.is_trivial or f.m > 2:
+            continue
+        for level_gaps in _grids(f, table):
+            grid = _contract_grid(f, level_gaps, x, integrate_out)
+            rows = _contract(f, _grid_rows(level_gaps), x, integrate_out)
+            assert grid.shape == tuple(g.size for g in level_gaps)
+            assert np.max(np.abs(grid.ravel() - rows)) <= 1e-13 * np.max(np.abs(rows))
+            checked += 1
+    assert checked >= 2
+
+
+def test_xi_forests_merge_two_pairs_at_once():
+    x = SpatialConfig.from_points([[0.1], [0.3], [0.55], [0.8]])
+    levels = {f.levels[:2] for f in enumerate_forests(x.partition, XI4.is_absorbing)}
+    assert TWO_PAIRS in levels
+
+
+def test_grid_contraction_rejects_bad_grids():
+    f = cherry_forest()
+    x = SpatialConfig.from_points([[0.1], [0.35], [0.8]])
+    with pytest.raises(ValueError, match="positive"):
+        _contract_grid(f, [np.array([0.1]), np.array([0.2, 0.0])], x)
+    with pytest.raises(ValueError, match="positive"):
+        _contract_grid(f, [np.array([-0.1]), np.array([0.2])], x)
+    with pytest.raises(ValueError, match="does not match"):
+        _contract_grid(f, [np.array([0.2])], x)
+
+
+def _normalization_on_rows(x, table, integrate_out=None):
+    """The Gauss-rule N(x) with every forest's tensor grid expanded into
+    level-time rows and contracted by ``_contract``."""
+    total = 0.0
+    for f in enumerate_forests(x.partition, table.is_absorbing):
+        if f.is_trivial:
+            total += 1.0
+            continue
+        rates, totals = _forest_rates(table, f)
+        if any(r <= 0 for r in rates):
+            continue
+        rules = [_gap_rule(lam) for lam in totals]
+        gaps = np.meshgrid(*(s for s, _ in rules), indexing="ij")
+        weights = np.prod(np.meshgrid(*(w for _, w in rules), indexing="ij"), axis=0)
+        taus = np.cumsum(np.stack([g.ravel() for g in gaps], axis=1), axis=1)
+        taus[:, 1:] = np.maximum(taus[:, 1:], np.nextafter(taus[:, :-1], np.inf))
+        g = _contract(f, taus, x, integrate_out)
+        total += math.prod(rates) * float(weights.ravel() @ g)
+    return total
+
+
+@pytest.mark.parametrize(
+    "pts,out",
+    [
+        ([[0.1], [0.35], [0.8]], None),
+        ([[0.1], [0.35], [0.8]], 2),
+        ([[0.1, 0.7], [0.35, 0.2], [0.8, 0.45]], None),
+    ],
+)
+def test_normalization_matches_the_row_path(pts, out):
+    x = SpatialConfig.from_points(pts)
+    integrate_out = None if out is None else x.partition.blocks[out]
+    got = normalization_N(x, KINGMAN3, integrate_out=integrate_out).value
+    want = _normalization_on_rows(x, KINGMAN3, integrate_out)
+    assert abs(got - want) <= 1e-12 * want

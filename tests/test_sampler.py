@@ -1,5 +1,6 @@
 """Exact coalescent sampling, path filling, and the drift-SDE route."""
 
+import hashlib
 import itertools
 import math
 import subprocess
@@ -413,3 +414,36 @@ def test_sampler_determinism():
     assert a.tau.times == b.tau.times
     for v in a.forest.internal_nodes:
         assert np.array_equal(a.xi[v], b.xi[v])
+
+
+def _cold_draws_digest(n: int, d: int, seed: int, draws: int = 200) -> str:
+    """sha256 over the forest, times and locations of ``draws`` draws, each
+    from a new sampler at new uniform points."""
+    table = build_rate_table(LambdaMeasure.kingman(), n)
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    for _ in range(draws):
+        x = SpatialConfig.from_points(rng.uniform(size=(n, d)))
+        df = ExactCoalescentSampler(x, table).sample(rng)
+        levels = [sorted(sorted(b) for b in level.blocks) for level in df.forest.levels]
+        h.update(repr(levels).encode())
+        h.update(np.array(df.tau.times).tobytes())
+        for v in sorted(df.xi.locs, key=sorted):
+            h.update(df.xi[v].tobytes())
+    return h.hexdigest()
+
+
+# Exact digests of cold-sampler draws: a gap-table cell that moves, or any
+# change to the order or count of random draws, shows up here.
+
+
+def test_cold_sampler_stream_is_pinned_n3_d1():
+    assert _cold_draws_digest(3, 1, 7) == (
+        "1be2ada8bb481af6a94aeecea21a31f840f8748e31275f541280b092db8c2a76"
+    )
+
+
+def test_cold_sampler_stream_is_pinned_n2_d2():
+    assert _cold_draws_digest(2, 2, 8) == (
+        "40954db6b353d2f31f3090d3ab1791e913d5b3bbcbffa369c4ba2af401c98378"
+    )
