@@ -14,7 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import EXPERIMENT_NAMES, ExperimentSpec, run_experiment
+from .experiments import (
+    EXPERIMENT_NAMES,
+    ExperimentSpec,
+    run_experiment,
+    write_csv,
+    write_json,
+)
 from .forward import OffspringLaw, cannings_simulate, extract_genealogy, lookdown_simulate
 from .kernels import SpatialConfig
 from .measures import (
@@ -29,20 +35,6 @@ from .partitions import signatures_for
 from .reversal import simulate_reversal
 from .sampler import ExactCoalescentSampler, sample_paths, sir_sample
 from .stats import make_rng
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
-    return str(v)
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _load_config(path: str | None) -> dict:
@@ -101,16 +93,14 @@ def cmd_rates(args) -> int:
         for sig in signatures_for(n):
             rows.append((n, "+".join(map(str, sig.ks)), table.rate(sig)))
     out = _out_dir(args)
-    _write_csv(out / "samples.csv", ["n", "merger", "rate"], rows)
+    write_csv(out / "samples.csv", ["n", "merger", "rate"], rows)
     report = check_consistency(table)
     payload = {
         "measure": measure_to_dict(measure),
         "n_max": table.n_max,
         "consistency": report.passed,
     }
-    with open(out / "report.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "report.json", payload)
     print(f"rates written to {out}; consistency: {report.passed}")
     return 0 if report.passed else 1
 
@@ -135,9 +125,7 @@ def cmd_normalization(args) -> int:
         "std_error": err,
         "method": method,
     }
-    with open(out / "report.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "report.json", payload)
     print(f"N = {value:.12g} (method {method})")
     return 0
 
@@ -150,22 +138,13 @@ def cmd_sample_coalescent(args) -> int:
     x = SpatialConfig.from_points(pts)
     rng = make_rng(args.seed)
     out = _out_dir(args)
-    events, samples = [], []
     if args.method == "sir":
         forests, report = sir_sample(x, table, rng, batch=args.replicates)
-        for i, df in enumerate(forests):
-            for lvl, t in enumerate(df.tau.times, start=1):
-                events.append((i, t, len(df.forest.levels[lvl])))
-                samples.append((i, lvl, t))
         print(f"SIR effective sample size {report.ess:.1f} of {args.replicates}")
     else:
         sampler = ExactCoalescentSampler(x, table)
-        for i in range(args.replicates):
-            df = sampler.sample(rng)
-            for lvl, t in enumerate(df.tau.times, start=1):
-                events.append((i, t, len(df.forest.levels[lvl])))
-                samples.append((i, lvl, t))
-        # trajectories of the first draw
+        forests = [sampler.sample(rng) for _ in range(args.replicates)]
+        # trajectories of one more draw
         df = sampler.sample(rng)
         horizon = (
             df.tau.level_time(df.forest.m) if not df.forest.is_trivial else 1.0
@@ -178,13 +157,18 @@ def cmd_sample_coalescent(args) -> int:
             label = "|".join(map(str, sorted(b)))
             for t, p in zip(ts, ps):
                 rows.append((label, t, *p))
-        _write_csv(
+        write_csv(
             out / "trajectories.csv",
             ["lineage", "time"] + [f"x{c}" for c in range(x.d)],
             rows,
         )
-    _write_csv(out / "events.csv", ["replicate", "time", "blocks_after"], events)
-    _write_csv(out / "samples.csv", ["replicate", "level", "merge_time"], samples)
+    events, samples = [], []
+    for i, df in enumerate(forests):
+        for lvl, t in enumerate(df.tau.times, start=1):
+            events.append((i, t, len(df.forest.levels[lvl])))
+            samples.append((i, lvl, t))
+    write_csv(out / "events.csv", ["replicate", "time", "blocks_after"], events)
+    write_csv(out / "samples.csv", ["replicate", "level", "merge_time"], samples)
     print(f"{args.replicates} coalescent draws written to {out}")
     return 0
 
@@ -194,19 +178,19 @@ def _forward_csv(run, out: Path, d: int) -> None:
     for i, (t, groups) in enumerate(zip(run.times, run.groups)):
         desc = ";".join("|".join(map(str, g)) for g in groups)
         events.append((i, t, desc))
-    _write_csv(out / "events.csv", ["event", "time", "groups"], events)
+    write_csv(out / "events.csv", ["event", "time", "groups"], events)
     if run.grid_times is not None:
         rows = []
         for j, t in enumerate(run.grid_times):
             for lvl in range(run.n_levels):
                 rows.append((t, lvl + 1, *run.grid_positions[j, lvl]))
-        _write_csv(
+        write_csv(
             out / "trajectories.csv",
             ["time", "level"] + [f"x{c}" for c in range(d)],
             rows,
         )
     rows = [(lvl + 1, *run.end_positions[lvl]) for lvl in range(run.n_levels)]
-    _write_csv(
+    write_csv(
         out / "samples.csv", ["level"] + [f"x{c}" for c in range(d)], rows
     )
 
@@ -268,7 +252,7 @@ def cmd_reverse(args) -> int:
         )
         for e in run.epochs
     ]
-    _write_csv(
+    write_csv(
         out / "events.csv",
         ["epoch", "merge_time", "signature", "merged_levels", "resampled_levels"],
         epochs,
@@ -277,7 +261,7 @@ def cmd_reverse(args) -> int:
     for j, t in enumerate(run.record_times):
         for lvl in range(run.records.shape[1]):
             rows.append((t, lvl + 1, *run.records[j, lvl]))
-    _write_csv(
+    write_csv(
         out / "trajectories.csv",
         ["time", "level"] + [f"x{c}" for c in range(args.dim)],
         rows,

@@ -1,6 +1,15 @@
 """Named verification experiments: each driver reproduces one of the exact
 identities or dualities of the model at desk scale and emits deterministic
 artifacts (report.json plus long-format samples.csv).
+
+A check is a ``TestResult`` whose verdict follows from its gate: with a
+p-value it passes when ``p_value >= threshold`` (the threshold is then the
+level ALPHA), and otherwise when ``statistic <= threshold``.  Every
+statistical test runs through ``_statistical``, which reruns a test whose
+p-value falls below ALPHA once, on ``seed + RETRY_SEED_OFFSET``, and keeps
+the rerun's verdict.  The two chi-square checks, ``triple-block-structure-chi2``
+(duality) and ``lineage-count-chi2`` (markov-resample), are not retried on
+their own: they read the draw that their KS partner's test kept.
 """
 
 from __future__ import annotations
@@ -8,7 +17,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,6 +93,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment {self.name!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.d < 1:
+            raise ValueError("the torus dimension d must be >= 1")
 
 
 @dataclass
@@ -92,20 +102,22 @@ class TestResult:
     name: str
     statistic: float
     threshold: float
-    p_value: float | None
-    passed: bool
-    runtime: float
+    p_value: float | None = None
     retried: bool = False
 
+    @property
+    def passed(self) -> bool:
+        if self.p_value is not None:
+            return bool(self.p_value >= self.threshold)
+        return bool(self.statistic <= self.threshold)
+
     def as_dict(self) -> dict:
-        # wall-clock runtime is deliberately excluded so artifacts are
-        # byte-identical across reruns with the same seed
         return {
             "name": self.name,
             "statistic": float(self.statistic),
             "threshold": float(self.threshold),
             "p_value": None if self.p_value is None else float(self.p_value),
-            "passed": bool(self.passed),
+            "passed": self.passed,
             "retried": bool(self.retried),
         }
 
@@ -114,8 +126,21 @@ class TestResult:
 class TestReport:
     experiment: str
     seed: int
-    results: list[TestResult]
-    samples: dict[str, list] = field(default_factory=dict)
+    results: list[TestResult] = field(default_factory=list)
+    samples: dict[str, list] = field(
+        default_factory=lambda: {"series": [], "index": [], "value": []}
+    )
+
+    def series(self, label: str, values, index=None) -> None:
+        """Append ``values`` to the long-format samples under ``label``,
+        indexed 0, 1, ... unless ``index`` is given."""
+        values = [float(v) for v in values]
+        index = list(range(len(values))) if index is None else list(index)
+        if len(index) != len(values):
+            raise ValueError("a series needs one index per value")
+        self.samples["series"] += [label] * len(values)
+        self.samples["index"] += index
+        self.samples["value"] += values
 
     @property
     def passed(self) -> bool:
@@ -130,27 +155,15 @@ class TestReport:
         }
 
 
-def _timed(name, threshold, fn, *, seed):
-    """Run a check; statistical checks retry once on a shifted seed."""
-    t0 = time.perf_counter()
+def _statistical(name, fn, seed):
+    """The level-ALPHA test ``fn(seed) -> (statistic, p_value, samples)``,
+    rerun once on ``seed + RETRY_SEED_OFFSET`` when its p-value is below
+    ALPHA; returns the kept run's result and samples."""
     stat, p, samples = fn(seed)
-    retried = False
-    if p is not None and p < ALPHA:
+    retried = p < ALPHA
+    if retried:
         stat, p, samples = fn(seed + RETRY_SEED_OFFSET)
-        retried = True
-    passed = (p >= ALPHA) if p is not None else (stat <= threshold)
-    return (
-        TestResult(
-            name=name,
-            statistic=float(stat),
-            threshold=float(threshold),
-            p_value=None if p is None else float(p),
-            passed=bool(passed),
-            runtime=time.perf_counter() - t0,
-            retried=retried,
-        ),
-        samples,
-    )
+    return TestResult(name, float(stat), ALPHA, float(p), bool(retried)), samples
 
 
 # -- rates-recursion ---------------------------------------------------------
@@ -167,36 +180,25 @@ def _rates_battery() -> list[tuple[str, LambdaMeasure | XiMeasure]]:
 
 
 def _run_rates_recursion(spec: ExperimentSpec) -> TestReport:
-    results = []
-    samples = {"series": [], "index": [], "value": []}
+    report = TestReport("rates-recursion", spec.seed)
     n_max = max(spec.n, 8)
     for label, m in _rates_battery():
         if isinstance(m, LambdaMeasure):
             worst = 0.0
+            nks, rates = [], []
             for n in range(2, n_max):
                 for k in range(2, n + 1):
                     lhs = lambda_rate(m, n, k)
                     rhs = lambda_rate(m, n + 1, k) + lambda_rate(m, n + 1, k + 1)
                     worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-                    samples["series"].append(f"rate-{label}")
-                    samples["index"].append(f"{n},{k}")
-                    samples["value"].append(lhs)
+                    nks.append(f"{n},{k}")
+                    rates.append(lhs)
+            report.series(f"rate-{label}", rates, nks)
         else:
-            report = check_consistency(build_rate_table(m, n_max))
-            worst = max(
-                abs(l - r) / max(1.0, abs(l)) for _, l, r, _ in report.checks
-            )
-        results.append(
-            TestResult(
-                name=f"recursion-{label}",
-                statistic=worst,
-                threshold=1e-10,
-                p_value=None,
-                passed=worst <= 1e-10,
-                runtime=0.0,
-            )
-        )
-    return TestReport("rates-recursion", spec.seed, results, samples)
+            checks = check_consistency(build_rate_table(m, n_max)).checks
+            worst = max(abs(l - r) / max(1.0, abs(l)) for _, l, r, _ in checks)
+        report.results.append(TestResult(f"recursion-{label}", worst, 1e-10))
+    return report
 
 
 # -- consistency (normalization identities) ----------------------------------
@@ -204,15 +206,11 @@ def _run_rates_recursion(spec: ExperimentSpec) -> TestReport:
 
 def _run_consistency(spec: ExperimentSpec) -> TestReport:
     table = build_rate_table(spec.measure, max(spec.n, 3))
-    results = []
-    samples = {"series": [], "index": [], "value": []}
+    report = TestReport("consistency", spec.seed)
     # a single lineage never merges: the normalization is exactly one
     single = SpatialConfig.from_points([[0.37] * spec.d])
     n1 = normalization_N(single, table).value
-    results.append(
-        TestResult("single-lineage-unity", abs(n1 - 1.0), 1e-14, None,
-                   abs(n1 - 1.0) <= 1e-14, 0.0)
-    )
+    report.results.append(TestResult("single-lineage-unity", abs(n1 - 1.0), 1e-14))
     # pair value against direct time quadrature
     lam = table.rate(MergerSignature(2, (2,)))
     delta = 0.3
@@ -220,12 +218,9 @@ def _run_consistency(spec: ExperimentSpec) -> TestReport:
     n_spec = normalization_N_spectral(x2, table, cutoff=256)
     direct = quad_pair_reference(delta, lam, spec.d)
     rel = abs(n_spec - direct) / abs(direct)
-    results.append(
-        TestResult("pair-vs-quadrature", rel, 1e-6, None, rel <= 1e-6, 0.0)
-    )
-    samples["series"] += ["pair-N", "pair-N-quadrature"]
-    samples["index"] += ["spectral", "time-quadrature"]
-    samples["value"] += [n_spec, direct]
+    report.results.append(TestResult("pair-vs-quadrature", rel, 1e-6))
+    report.series("pair-N", [n_spec], ["spectral"])
+    report.series("pair-N-quadrature", [direct], ["time-quadrature"])
     # integrating one lineage out of a triple recovers the pair; compared
     # with the time quadrature, so no spectral truncation enters
     x3 = SpatialConfig.from_points(
@@ -235,13 +230,9 @@ def _run_consistency(spec: ExperimentSpec) -> TestReport:
     marg = normalization_N(x3, table, method="quadrature", integrate_out=third)
     rel2 = abs(marg.value - direct) / abs(direct)
     tol2 = max(1e-4, 3.0 * marg.std_error / abs(direct))
-    results.append(
-        TestResult("marginalization", rel2, tol2, None, rel2 <= tol2, 0.0)
-    )
-    samples["series"] += ["marginalized-N"]
-    samples["index"] += ["quadrature"]
-    samples["value"] += [marg.value]
-    return TestReport("consistency", spec.seed, results, samples)
+    report.results.append(TestResult("marginalization", rel2, tol2))
+    report.series("marginalized-N", [marg.value], ["quadrature"])
+    return report
 
 
 def quad_pair_reference(delta: float, lam: float, d: int) -> float:
@@ -303,13 +294,10 @@ def _run_wright_malecot(spec: ExperimentSpec) -> TestReport:
         stat, p = ks_against_cdf(times, cdf)
         return stat, p, times
 
-    result, times = _timed("pair-time-ks", ALPHA, draw, seed=spec.seed)
-    samples = {
-        "series": ["pair-merge-time"] * len(times),
-        "index": list(range(len(times))),
-        "value": [float(t) for t in times],
-    }
-    return TestReport("wright-malecot", spec.seed, [result], samples)
+    result, times = _statistical("pair-time-ks", draw, spec.seed)
+    report = TestReport("wright-malecot", spec.seed, [result])
+    report.series("pair-merge-time", times)
+    return report
 
 
 # -- duality -----------------------------------------------------------------
@@ -339,20 +327,23 @@ def stationary_pair_separation_cdf(table: RateTable, grid: int = 2048):
     return cdf
 
 
-def _run_duality(spec: ExperimentSpec) -> TestReport:
+def _pair_resampling() -> tuple[OffspringLaw, float]:
+    """The forward model of duality and reversal-stationarity: the N = 30
+    pair-resampling Cannings model, at event rate C(N, 2)."""
     N = 30
-    T_N = N * (N - 1) / 2.0
-    law = OffspringLaw("pair-resampling", N)
+    return OffspringLaw("pair-resampling", N), N * (N - 1) / 2.0
+
+
+def _run_duality(spec: ExperimentSpec) -> TestReport:
+    law, T_N = _pair_resampling()
     table = cannings_rate_table(law, T_N, 3)
     reps = spec.replicates
-    results = []
-    samples = {"series": [], "index": [], "value": []}
 
     @functools.cache
     def harvest(seed):
         rng = spawn_rngs(seed, 1)[0]
         h = ForwardHarvester(
-            N, spec.d, T_N, lambda r: _cannings_groups(law, r), rng, warmup=20.0
+            law.N, spec.d, T_N, lambda r: _cannings_groups(law, r), rng, warmup=20.0
         )
         obs2, obs3 = [], []
         for _ in range(reps):
@@ -396,34 +387,22 @@ def _run_duality(spec: ExperimentSpec) -> TestReport:
         stat, p = ks_two_sample(t_fwd, ref)
         return stat, p, (t_fwd, ref, pairs_fwd, pairs_ref)
 
-    r1, (t_fwd, t_ref) = _timed("pair-first-merge-time-ks", ALPHA, test_pair_time, seed=spec.seed)
-    results.append(r1)
-    r2, seps = _timed("pair-displacement-ks", ALPHA, test_pair_sep, seed=spec.seed)
-    results.append(r2)
-    r3, (t3_fwd, t3_ref, pf, pr) = _timed(
-        "triple-first-merge-time-ks", ALPHA, test_triple_time, seed=spec.seed
+    r1, (t_fwd, t_ref) = _statistical("pair-first-merge-time-ks", test_pair_time, spec.seed)
+    r2, seps = _statistical("pair-displacement-ks", test_pair_sep, spec.seed)
+    r3, (t3_fwd, t3_ref, pf, pr) = _statistical(
+        "triple-first-merge-time-ks", test_triple_time, spec.seed
     )
-    results.append(r3)
+    # the block structure of the triples that the time test kept
     cats = [(1, 2), (1, 3), (2, 3)]
-    obs_counts = [pf.count(c) for c in cats]
-    ref_counts = [pr.count(c) for c in cats]
-    chi, p_chi = chi2_table([obs_counts, ref_counts])
-    results.append(
-        TestResult(
-            "triple-block-structure-chi2", chi, ALPHA, p_chi, p_chi >= ALPHA, 0.0
-        )
-    )
-    for label, arr in [
-        ("fwd-pair-time", t_fwd),
-        ("ref-pair-time", t_ref),
-        ("fwd-pair-sep", seps),
-        ("fwd-triple-time", t3_fwd),
-        ("ref-triple-time", t3_ref),
-    ]:
-        samples["series"] += [label] * len(arr)
-        samples["index"] += list(range(len(arr)))
-        samples["value"] += [float(v) for v in arr]
-    return TestReport("duality", spec.seed, results, samples)
+    chi, p_chi = chi2_table([[pf.count(c) for c in cats], [pr.count(c) for c in cats]])
+    chi2 = TestResult("triple-block-structure-chi2", chi, ALPHA, p_chi)
+    report = TestReport("duality", spec.seed, [r1, r2, r3, chi2])
+    report.series("fwd-pair-time", t_fwd)
+    report.series("ref-pair-time", t_ref)
+    report.series("fwd-pair-sep", seps)
+    report.series("fwd-triple-time", t3_fwd)
+    report.series("ref-triple-time", t3_ref)
+    return report
 
 
 def _merged_pair(part: Partition) -> tuple[int, ...]:
@@ -437,10 +416,11 @@ def _merged_pair(part: Partition) -> tuple[int, ...]:
 
 
 def _run_drift_scaling(spec: ExperimentSpec) -> TestReport:
+    if spec.d < 2:
+        raise ValueError("the drift-SDE construction requires d >= 2")
+    d = spec.d
     table = build_rate_table(spec.measure, 2)
-    d = max(spec.d, 2)
-    results = []
-    samples = {"series": [], "index": [], "value": []}
+    report = TestReport("drift-scaling", spec.seed)
     # gradient against central finite differences
     rng = spawn_rngs(spec.seed, 1)[0]
     worst = 0.0
@@ -467,9 +447,7 @@ def _run_drift_scaling(spec: ExperimentSpec) -> TestReport:
                 )
             ) / (2.0 * h)
             worst = max(worst, abs(fd - grads[u][c]) / max(scale, 1e-12))
-    results.append(
-        TestResult("gradient-vs-fd", worst, 1e-3, None, worst <= 1e-3, 0.0)
-    )
+    report.results.append(TestResult("gradient-vs-fd", worst, 1e-3))
     # attraction magnitude slope in d = 2
     rs = np.geomspace(0.02, 0.1, 8)
     mags = np.array(
@@ -479,15 +457,8 @@ def _run_drift_scaling(spec: ExperimentSpec) -> TestReport:
         ]
     )
     slope, _ = fit_loglog_slope(rs, mags)
-    results.append(
-        TestResult(
-            "pair-drift-slope", abs(slope + 1.0), 0.15, None,
-            abs(slope + 1.0) <= 0.15, 0.0,
-        )
-    )
-    samples["series"] += ["attraction"] * len(rs)
-    samples["index"] += [float(r) for r in rs]
-    samples["value"] += [float(m) for m in mags]
+    report.results.append(TestResult("pair-drift-slope", abs(slope + 1.0), 0.15))
+    report.series("attraction", mags, rs)
 
     # SDE pair coalescence times against the exact sampler
     delta0 = np.array([0.25, 0.1])
@@ -504,13 +475,11 @@ def _run_drift_scaling(spec: ExperimentSpec) -> TestReport:
         stat, p = ks_two_sample(t_sde, t_ref)
         return stat, p, (t_sde, t_ref)
 
-    r, (t_sde, t_ref) = _timed("sde-pair-time-ks", ALPHA, sde_vs_exact, seed=spec.seed)
-    results.append(r)
-    for label, arr in [("sde-time", t_sde), ("exact-time", t_ref)]:
-        samples["series"] += [label] * len(arr)
-        samples["index"] += list(range(len(arr)))
-        samples["value"] += [float(v) for v in arr]
-    return TestReport("drift-scaling", spec.seed, results, samples)
+    r, (t_sde, t_ref) = _statistical("sde-pair-time-ks", sde_vs_exact, spec.seed)
+    report.results.append(r)
+    report.series("sde-time", t_sde)
+    report.series("exact-time", t_ref)
+    return report
 
 
 # -- reversal-stationarity ---------------------------------------------------
@@ -522,8 +491,6 @@ def _run_reversal_stationarity(spec: ExperimentSpec) -> TestReport:
     horizon = spec.horizon
     grid = np.linspace(0.0, horizon, 5)
     reps = spec.replicates
-    results = []
-    samples = {"series": [], "index": [], "value": []}
 
     @functools.cache
     def rev_records(seed):
@@ -544,15 +511,13 @@ def _run_reversal_stationarity(spec: ExperimentSpec) -> TestReport:
         stat, p = energy_distance_test(
             a, b, spawn_rngs(seed + 3, 1)[0], n_permutations=300
         )
-        return stat, p, (a, b)
+        return stat, p, None
 
-    r, (a, b) = _timed("marginal-energy-distance", ALPHA, energy_start_end, seed=spec.seed)
-    results.append(r)
+    r, _ = _statistical("marginal-energy-distance", energy_start_end, spec.seed)
+    report = TestReport("reversal-stationarity", spec.seed, [r])
 
     # time-reversed forward model comparison at the grid times
-    N = 30
-    T_N = N * (N - 1) / 2.0
-    law = OffspringLaw("pair-resampling", N)
+    law, T_N = _pair_resampling()
 
     @functools.cache
     def forward_records(seed):
@@ -582,17 +547,12 @@ def _run_reversal_stationarity(spec: ExperimentSpec) -> TestReport:
             )
             return stat, p, None
 
-        r, _ = _timed(
-            f"reversed-forward-sep-ks-t{k}", ALPHA, compare, seed=spec.seed
-        )
-        results.append(r)
+        r, _ = _statistical(f"reversed-forward-sep-ks-t{k}", compare, spec.seed)
+        report.results.append(r)
     recs = rev_records(spec.seed)
     for k in range(grid.size):
-        vals = sep_of(recs, k)
-        samples["series"] += [f"reversal-sep-t{k}"] * len(vals)
-        samples["index"] += list(range(len(vals)))
-        samples["value"] += [float(v) for v in vals]
-    return TestReport("reversal-stationarity", spec.seed, results, samples)
+        report.series(f"reversal-sep-t{k}", sep_of(recs, k))
+    return report
 
 
 # -- markov-resample ---------------------------------------------------------
@@ -603,8 +563,6 @@ def _run_markov_resample(spec: ExperimentSpec) -> TestReport:
     x = SpatialConfig.from_points([[0.1], [0.45], [0.8]])
     t0 = 0.3
     reps = spec.replicates
-    results = []
-    samples = {"series": [], "index": [], "value": []}
 
     def straight(seed):
         rng = spawn_rngs(seed, 1)[0]
@@ -646,10 +604,8 @@ def _run_markov_resample(spec: ExperimentSpec) -> TestReport:
         stat, p = ks_two_sample(fin_a, fin_b)
         return stat, p, (c_a, c_b, fin_a, fin_b)
 
-    r, (c_a, c_b, fin_a, fin_b) = _timed(
-        "next-merge-time-ks", ALPHA, compare, seed=spec.seed
-    )
-    results.append(r)
+    r, (c_a, c_b, fin_a, fin_b) = _statistical("next-merge-time-ks", compare, spec.seed)
+    # the lineage counts of the draws that the time test kept
     cats = [1, 2, 3]
     tab = [
         [c_a.count(c) for c in cats],
@@ -657,14 +613,11 @@ def _run_markov_resample(spec: ExperimentSpec) -> TestReport:
     ]
     keep = [j for j in range(len(cats)) if tab[0][j] + tab[1][j] > 0]
     chi, p_chi = chi2_table([[row[j] for j in keep] for row in tab])
-    results.append(
-        TestResult("lineage-count-chi2", chi, ALPHA, p_chi, p_chi >= ALPHA, 0.0)
-    )
-    for label, arr in [("straight-next-time", fin_a), ("rerooted-next-time", fin_b)]:
-        samples["series"] += [label] * len(arr)
-        samples["index"] += list(range(len(arr)))
-        samples["value"] += [float(v) for v in arr]
-    return TestReport("markov-resample", spec.seed, results, samples)
+    chi2 = TestResult("lineage-count-chi2", chi, ALPHA, p_chi)
+    report = TestReport("markov-resample", spec.seed, [r, chi2])
+    report.series("straight-next-time", fin_a)
+    report.series("rerooted-next-time", fin_b)
+    return report
 
 
 # -- dispatch and artifacts --------------------------------------------------
@@ -690,19 +643,27 @@ def run_experiment(spec: ExperimentSpec) -> TestReport:
 
 def write_artifacts(report: TestReport, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "report.json", report.as_dict())
     cols = report.samples
-    with open(out / "samples.csv", "w") as fh:
-        keys = list(cols)
-        fh.write(",".join(keys) + "\n")
-        if keys:
-            for row in zip(*(cols[k] for k in keys)):
-                fh.write(
-                    ",".join(
-                        f"{v:.17g}" if isinstance(v, float) else str(v)
-                        for v in row
-                    )
-                    + "\n"
+    write_csv(out / "samples.csv", list(cols), zip(*cols.values()))
+
+
+def write_json(path: Path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_csv(path: Path, header: list[str], rows) -> None:
+    """One CSV row per row of values: floats at repr-faithful precision
+    (%.17g), everything else by ``str``."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(
+                ",".join(
+                    f"{float(v):.17g}" if isinstance(v, (float, np.floating)) else str(v)
+                    for v in row
                 )
+                + "\n"
+            )

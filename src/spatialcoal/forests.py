@@ -149,44 +149,3 @@ def enumerate_forests(
                 yield (q,) + tail
 
     return [Forest(seq) for seq in rec(p)]
-
-
-def classify_extension(f: Forest, g: Forest, new_leaf: int):
-    """Classify how ``g`` extends ``f`` by the single leaf ``new_leaf``.
-
-    Returns ``(tag, u_plus)`` where tag is one of ``"multiple-merge"``
-    (the new leaf joins an existing merge event), ``"binary-merge"`` (it
-    merges with an existing node at a new, intermediate time), or
-    ``"simultaneous-binary"`` (it merges pairwise with an existing node
-    simultaneously with an existing event).  ``u_plus`` is the node of
-    ``f`` that the new leaf attaches to.
-    """
-    leaf_labels = {x for b in f.leaves for x in b}
-    if new_leaf in leaf_labels:
-        raise ValueError("new leaf already present in f")
-    if {x for b in g.leaves for x in b} != leaf_labels | {new_leaf}:
-        raise ValueError("g's leaves do not extend f's by new_leaf")
-    if g.restrict(leaf_labels) != f:
-        raise ValueError("g does not extend f")
-
-    # First level of g at which new_leaf is no longer a singleton.
-    j = next(
-        i
-        for i, lvl in enumerate(g.levels)
-        if frozenset({new_leaf}) not in lvl.blocks
-    )
-    w = next(b for b in g.levels[j].blocks if new_leaf in b)
-    partner = frozenset(w - {new_leaf})
-
-    if g.m == f.m + 1:
-        return "binary-merge", partner
-    if g.m != f.m:
-        raise ValueError("g is not a one-leaf extension of f")
-    # Same number of events: the new leaf rides an existing event at level j.
-    prev = g.levels[j - 1].blocks
-    n_children = sum(1 for b in prev if b <= w)
-    # Children of w other than {new_leaf} form either an existing merge
-    # (multiple-merge) or a single untouched node (simultaneous binary pair).
-    if n_children - 1 >= 2:
-        return "multiple-merge", partner
-    return "simultaneous-binary", partner

@@ -602,6 +602,8 @@ class ForwardHarvester:
 
         Returns None for the merge fields if the trace leaves the buffer.
         """
+        if n < 1 or n > len(self.positions):
+            raise ValueError("invalid sample size")
         sample_pos = self.positions[:n].copy()
         first = next(_merges(self.ev_groups, n), None)
         if first is None:

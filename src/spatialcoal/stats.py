@@ -191,30 +191,6 @@ def energy_distance_test(
     return float(stat), float(p)
 
 
-def chi2_counts(observed, expected) -> tuple[float, float]:
-    """Pearson chi-square of observed counts against expected counts.
-
-    Expected counts are rescaled to the observed total; cells below an
-    expected count of 5 are pooled into their neighbor.
-    """
-    observed = np.asarray(observed, dtype=float)
-    expected = np.asarray(expected, dtype=float)
-    expected = expected * observed.sum() / expected.sum()
-    obs, exp = [], []
-    acc_o = acc_e = 0.0
-    for o, e in zip(observed, expected):
-        acc_o += o
-        acc_e += e
-        if acc_e >= 5.0:
-            obs.append(acc_o)
-            exp.append(acc_e)
-            acc_o = acc_e = 0.0
-    if acc_e > 0 and obs:
-        obs[-1] += acc_o
-        exp[-1] += acc_e
-    return _pearson(np.array(obs), np.array(exp), len(obs) - 1)
-
-
 def chi2_table(table) -> tuple[float, float]:
     """Pearson chi-square test of independence in a contingency table.
 

@@ -1,4 +1,4 @@
-"""Forest enumeration, decorations, and one-leaf extensions."""
+"""Forest enumeration and decorations."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from spatialcoal.forests import (
     Forest,
     TimeDecoration,
-    classify_extension,
     enumerate_forests,
 )
 from spatialcoal.partitions import Partition
@@ -83,44 +82,3 @@ def test_time_decoration_validation():
     assert tau.birth_time(f, frozenset({1})) == 0.0
     assert tau.birth_time(f, frozenset({1, 2})) == 0.5
     assert tau.birth_time(f, frozenset({1, 2, 3})) == 1.25
-
-
-def test_classify_extension_binary():
-    f = chain([{1}, {2}], [{1, 2}])
-    g = chain([{1}, {2}, {3}], [{1}, {2, 3}], [{1, 2, 3}])
-    tag, partner = classify_extension(f, g, 3)
-    assert tag == "binary-merge"
-    assert partner == frozenset({2})
-
-
-def test_classify_extension_multiple():
-    f = chain([{1}, {2}], [{1, 2}])
-    g = chain([{1}, {2}, {3}], [{1, 2, 3}])
-    tag, partner = classify_extension(f, g, 3)
-    assert tag == "multiple-merge"
-    assert partner == frozenset({1, 2})
-
-
-def test_classify_extension_simultaneous():
-    f = chain([{1}, {2}, {3}, {4}], [{1, 2}, {3}, {4}], [{1, 2}, {3, 4}])
-    g = chain(
-        [{1}, {2}, {3}, {4}, {5}],
-        [{1, 2}, {3}, {4}, {5}],
-        [{1, 2}, {3, 4}, {5}],
-    )
-    # leaf 5 must pair with a node simultaneously with the second event
-    g2 = chain(
-        [{1}, {2}, {3}, {4}, {5}],
-        [{1, 2}, {3}, {4}, {5}],
-        [{1, 2, 5}, {3, 4}],
-    )
-    tag, partner = classify_extension(f, g2, 5)
-    assert tag == "simultaneous-binary"
-    assert partner == frozenset({1, 2})
-
-
-def test_classify_extension_rejects_non_extension():
-    f = chain([{1}, {2}], [{1, 2}])
-    g = chain([{1}, {2}, {3}], [{1, 3}, {2}], [{1, 2, 3}])
-    with pytest.raises(ValueError):
-        classify_extension(f, g, 4)

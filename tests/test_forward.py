@@ -332,6 +332,21 @@ def test_harvester_observes_pairs():
     assert got > 10
 
 
+def test_harvester_observes_only_levels_that_exist():
+    # a sample larger than the population has no genealogy, as in
+    # extract_genealogy
+    law = OffspringLaw("pair-resampling", 5)
+    h = ForwardHarvester(
+        5, 1, 10.0, lambda r: _cannings_groups(law, r), np.random.default_rng(3), 2.0
+    )
+    for n in (0, 6, 7):
+        with pytest.raises(ValueError, match="invalid sample size"):
+            h.observe(n)
+    sample_pos, bt, part, _ = h.observe(5)
+    assert sample_pos.shape == (5, 1)
+    assert bt is None or {x for b in part.blocks for x in b} == set(range(1, 6))
+
+
 def test_harvester_trims_a_buffer_older_than_its_span():
     # rare events over long spans: on the ninth advance every buffered event
     # is older than the span, and the trim used to read past the buffer

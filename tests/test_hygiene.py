@@ -137,14 +137,6 @@ def test_cli_import_leaves_out_scipy_signal():
     assert out.stdout.strip() == "[]"
 
 
-# Public names that no package code reaches yet, each kept for a planned
-# caller (the items of ROADMAP.md)
-UNREACHED_ALLOWED = {
-    "forests.classify_extension": "item 6: where a new leaf joins a forest",
-    "stats.chi2_counts": "item 4: signature chi-square, pooling small cells",
-}
-
-
 def package_references() -> set[tuple[str, str]]:
     """(module, name) pairs that package code refers to: a name imported
     from a sibling module (an ``__init__`` export counts), or used in the
@@ -188,7 +180,6 @@ def test_public_functions_have_package_callers():
         and not node.name.startswith("_")
         and (path.stem, node.name) not in reached
     ]
-    missing = [name for name in unreached if name not in UNREACHED_ALLOWED]
-    assert not missing, "public names without a package caller: " + ", ".join(missing)
-    stale = sorted(set(UNREACHED_ALLOWED) - set(unreached))
-    assert not stale, "allowed names that now have a caller: " + ", ".join(stale)
+    assert not unreached, "public names without a package caller: " + ", ".join(
+        unreached
+    )

@@ -12,9 +12,53 @@ from spatialcoal.reversal import (
     sample_stationary_positions,
     simulate_reversal,
 )
-from spatialcoal.stats import chi2_counts
+from spatialcoal.stats import _pearson
 
 KINGMAN3 = build_rate_table(LambdaMeasure.kingman(), 3)
+
+
+def chi2_counts(observed, expected) -> tuple[float, float]:
+    """Pearson chi-square of observed counts against expected counts.
+
+    Expected counts are rescaled to the observed total; cells below an
+    expected count of 5 are pooled into their neighbor.
+    """
+    observed = np.asarray(observed, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    expected = expected * observed.sum() / expected.sum()
+    obs, exp = [], []
+    acc_o = acc_e = 0.0
+    for o, e in zip(observed, expected):
+        acc_o += o
+        acc_e += e
+        if acc_e >= 5.0:
+            obs.append(acc_o)
+            exp.append(acc_e)
+            acc_o = acc_e = 0.0
+    if acc_e > 0 and obs:
+        obs[-1] += acc_o
+        exp[-1] += acc_e
+    return _pearson(np.array(obs), np.array(exp), len(obs) - 1)
+
+
+def test_chi2_counts_pools_small_cells():
+    obs = np.array([50, 48, 52, 1, 2])
+    exp = np.array([50, 50, 50, 1.5, 1.5])
+    stat, p = chi2_counts(obs, exp)
+    assert np.isfinite(stat) and 0.0 <= p <= 1.0
+    # a clearly wrong expectation is rejected
+    _, p_bad = chi2_counts(np.array([100, 10]), np.array([55, 55]))
+    assert p_bad < 1e-6
+
+
+def test_chi2_counts_matches_scipy():
+    # no cell pooled: the same Pearson sum as scipy's chisquare
+    obs = np.array([50, 48, 52, 30, 20])
+    exp = np.array([1.0, 1.0, 1.0, 0.6, 0.4])
+    stat, p = chi2_counts(obs, exp)
+    ref = stats.chisquare(obs, exp * obs.sum() / exp.sum())
+    assert stat == ref.statistic
+    assert abs(p - ref.pvalue) <= 1e-13
 
 
 def test_resample_levels_keeps_survivors():

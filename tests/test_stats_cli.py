@@ -13,7 +13,6 @@ from spatialcoal.measures import LambdaMeasure, build_rate_table
 from spatialcoal.normalization import normalization_N, pair_normalization_1d
 from spatialcoal.stats import (
     _kolmogorov_sf,
-    chi2_counts,
     chi2_table,
     energy_distance_test,
     fit_loglog_slope,
@@ -58,16 +57,6 @@ def test_energy_distance_null_and_alternative():
     # 1-d input is accepted as a column
     _, p1 = energy_distance_test(rng.normal(size=100), rng.normal(size=100), rng)
     assert p1 > 0.005
-
-
-def test_chi2_counts_pools_small_cells():
-    obs = np.array([50, 48, 52, 1, 2])
-    exp = np.array([50, 50, 50, 1.5, 1.5])
-    stat, p = chi2_counts(obs, exp)
-    assert np.isfinite(stat) and 0.0 <= p <= 1.0
-    # a clearly wrong expectation is rejected
-    _, p_bad = chi2_counts(np.array([100, 10]), np.array([55, 55]))
-    assert p_bad < 1e-6
 
 
 def ks_tolerance(n: int) -> float:
@@ -136,16 +125,6 @@ def test_chi2_table_matches_scipy(table):
     assert abs(p - ref.pvalue) <= 1e-13
     with pytest.raises(ValueError):
         chi2_table([[0, 4], [0, 7]])
-
-
-def test_chi2_counts_matches_scipy():
-    # no cell pooled: the same Pearson sum as scipy's chisquare
-    obs = np.array([50, 48, 52, 30, 20])
-    exp = np.array([1.0, 1.0, 1.0, 0.6, 0.4])
-    stat, p = chi2_counts(obs, exp)
-    ref = stats.chisquare(obs, exp * obs.sum() / exp.sum())
-    assert stat == ref.statistic
-    assert abs(p - ref.pvalue) <= 1e-13
 
 
 def test_fit_loglog_slope_recovers_power_law():
