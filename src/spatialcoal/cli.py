@@ -270,18 +270,21 @@ def cmd_reverse(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, parser: argparse.ArgumentParser) -> int:
     cfg = _load_config(args.config)
-    spec = ExperimentSpec(
-        name=args.experiment,
-        measure=_measure_from(cfg),
-        d=args.dim,
-        n=args.n,
-        horizon=cfg.get("horizon", 2.0),
-        replicates=args.replicates,
-        seed=args.seed,
-        out=_out_dir(args),
-    )
+    try:
+        spec = ExperimentSpec(
+            name=args.experiment,
+            measure=_measure_from(cfg),
+            d=args.dim,
+            n=args.n,
+            horizon=cfg.get("horizon", 2.0),
+            replicates=args.replicates,
+            seed=args.seed,
+            out=Path(args.out or "spatialcoal-out"),
+        )
+    except ValueError as exc:
+        parser.error(str(exc))  # exit 2 with a usage line, writing nothing
     report = run_experiment(spec)
     for r in report.results:
         verdict = "PASS" if r.passed else "FAIL"
@@ -315,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check")
     p.add_argument("experiment", choices=EXPERIMENT_NAMES)
     _common(p)
-    p.set_defaults(fn=cmd_check)
+    p.set_defaults(fn=lambda args, p=p: cmd_check(args, p))
     return parser
 
 

@@ -95,6 +95,8 @@ class ExperimentSpec:
             raise ValueError("replicates must be >= 1")
         if self.d < 1:
             raise ValueError("the torus dimension d must be >= 1")
+        if self.name == "drift-scaling" and self.d < 2:
+            raise ValueError("the drift-SDE construction requires d >= 2")
 
 
 @dataclass
@@ -416,8 +418,6 @@ def _merged_pair(part: Partition) -> tuple[int, ...]:
 
 
 def _run_drift_scaling(spec: ExperimentSpec) -> TestReport:
-    if spec.d < 2:
-        raise ValueError("the drift-SDE construction requires d >= 2")
     d = spec.d
     table = build_rate_table(spec.measure, 2)
     report = TestReport("drift-scaling", spec.seed)

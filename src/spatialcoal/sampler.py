@@ -330,21 +330,20 @@ def sample_paths(
     for u in f.nodes:
         t0 = tau.birth_time(f, u)
         a = x.positions[u] if u in x.positions else xi[u]
+        end = horizon if u in roots else tau.birth_time(f, f.parent(u))
+        # arange may overshoot its stop by rounding; clipping turns such a
+        # point into an empty last step and leaves the draws as they are
+        grid = np.minimum(np.arange(t0 + grid_dt, end, grid_dt), end)
+        times = np.concatenate(([t0], grid, [end]))
         if u in roots:
-            grid = np.arange(t0 + grid_dt, horizon, grid_dt)
-            times = np.concatenate(([t0], grid, [horizon]))
             steps = rng.normal(size=(times.size - 1, a.size)) * np.sqrt(
                 np.diff(times)
             )[:, None]
             pos = np.vstack([a, a + np.cumsum(steps, axis=0)])
         else:
-            v = f.parent(u)
-            t1 = tau.birth_time(f, v)
-            b = xi[v]
-            k = torus_bridge_offset(a, b, t1 - t0, rng)
-            grid = np.arange(t0 + grid_dt, t1, grid_dt)
-            pos = _bridge(t0, a, t1, b + k, grid, rng)
-            times = np.concatenate(([t0], grid, [t1]))
+            b = xi[f.parent(u)]
+            k = torus_bridge_offset(a, b, end - t0, rng)
+            pos = _bridge(t0, a, end, b + k, grid, rng)
         paths[u] = (times, wrap(pos))
     events = []
     for i in range(1, f.m + 1):
@@ -364,22 +363,22 @@ def sample_paths(
 
 
 class PairDriftField:
-    """Drift of a lineage pair as a function of the torus displacement.
+    """Drift of a lineage pair as a function of the torus displacement, in
+    d = 2 only (d = 3 is over the grid budget, and d = 1 has no drift SDE).
 
     The pair normalization has the closed form
     N(delta) = sum_k rate cos(2 pi k . delta) / (lambda + 4 pi^2 |k|^2),
-    evaluated here on a DRIFT_GRID^d FFT grid, truncated at DRIFT_CUTOFF,
-    with multilinear interpolation in between.  The grid must fit the
+    evaluated here on a DRIFT_GRID^2 FFT grid, truncated at DRIFT_CUTOFF,
+    with bilinear interpolation in between.  The grid must fit the
     package's element budget, SPECTRAL_MAX_ELEMENTS, so d = 3 is refused
     before anything is allocated.
 
-    ``table`` has shape (DRIFT_GRID^d, d + 1).  Row j is the grid node
-    whose C-order flat index is j, that is node (i_1, ..., i_d) at
-    displacement (i_1, ..., i_d) / DRIFT_GRID; column 0 holds N there and
-    column 1 + c holds dN/d(delta_c).  ``grad_log_N`` visits the 2^d corners
-    of a point's cell in ``itertools.product((0, 1), repeat=d)`` order,
-    weights each corner by the product over c of (1 - f_c) or f_c in
-    coordinate order, and adds the corners up one after another.
+    ``table`` has shape (DRIFT_GRID^2, 3).  Row i * DRIFT_GRID + j is the
+    grid node at displacement (i, j) / DRIFT_GRID; column 0 holds N there
+    and column 1 + c holds dN/d(delta_c).  ``grad_log_at`` visits the four
+    corners of a point's cell in (0, 0), (0, 1), (1, 0), (1, 1) order,
+    weights each corner by the product of (1 - f_c) or f_c in coordinate
+    order, and adds the corners up one after another from 0.0.
     """
 
     def __init__(self, table: RateTable, d: int):
@@ -389,59 +388,56 @@ class PairDriftField:
                 f"pair drift grid needs {grid**d:.3g} elements ({grid}^{d}), "
                 f"over the budget of {SPECTRAL_MAX_ELEMENTS} elements"
             )
-        self.d = d
-        self.grid = grid
+        if d != 2:
+            raise ValueError(f"the pair drift field is built for d = 2, not d = {d}")
         lam = table.total(2)
         two = Partition.singletons([1, 2])
         one = Partition([{1, 2}])
         rate = table.transition_rate(two, one)
-        if lam <= 0 or rate <= 0:
-            self.zero = True
+        self.zero = lam <= 0 or rate <= 0
+        if self.zero:
             return
-        self.zero = False
         freqs = np.fft.fftfreq(grid, d=1.0 / grid)  # integer wavenumbers
-        shape = (grid,) * d
-        k2 = np.zeros(shape)
-        kc = []
-        for c in range(d):
-            kg = freqs.reshape([-1 if i == c else 1 for i in range(d)])
-            kc.append(np.broadcast_to(kg, shape))
-            k2 = k2 + kg**2
-        keep = np.ones(shape, dtype=bool)
-        for c in range(d):
-            keep &= np.abs(kc[c]) <= cutoff
-        coeff = np.where(keep, rate / (lam + 4.0 * math.pi**2 * k2), 0.0)
-        values = np.empty(shape + (d + 1,))
-        values[..., 0] = np.real(np.fft.ifftn(coeff)) * grid**d
-        for c in range(d):
+        kx, ky = freqs[:, None], freqs[None, :]
+        keep = (np.abs(kx) <= cutoff) & (np.abs(ky) <= cutoff)
+        coeff = np.where(keep, rate / (lam + 4.0 * math.pi**2 * (kx**2 + ky**2)), 0.0)
+        values = np.empty((grid, grid, 3))
+        values[..., 0] = np.real(np.fft.ifftn(coeff)) * grid**2
+        for c, k in enumerate((kx, ky)):
             values[..., 1 + c] = (
-                np.real(np.fft.ifftn(2j * math.pi * kc[c] * coeff)) * grid**d
+                np.real(np.fft.ifftn(2j * math.pi * k * coeff)) * grid**2
             )
-        self.table = values.reshape(grid**d, d + 1)
-        # row stride of each axis in the flat table
-        self.strides = grid ** np.arange(d - 1, -1, -1)
+        self.table = values.reshape(grid**2, 3)
+        self._flat = memoryview(self.table).cast("B").cast("d")
+        # flat offset of grid index i along x and along y, for i up to
+        # grid + 1: a point at displacement 1.0 sits at index grid
+        index = [i % grid for i in range(grid + 2)]
+        self._x_offset = [3 * grid * i for i in index]
+        self._y_offset = [3 * i for i in index]
+
+    def grad_log_at(self, x: float, y: float) -> tuple[float, float]:
+        """d/d(delta) log N at the displacement (x, y), in Python floats."""
+        if self.zero:
+            return 0.0, 0.0
+        v, xo, yo = self._flat, self._x_offset, self._y_offset
+        zx, zy = x % 1.0 * DRIFT_GRID, y % 1.0 * DRIFT_GRID
+        ix, iy = math.floor(zx), math.floor(zy)
+        fx, fy = zx - ix, zy - iy
+        ex, ey = 1.0 - fx, 1.0 - fy
+        w00, w01, w10, w11 = ex * ey, ex * fy, fx * ey, fx * fy
+        k00, k01 = xo[ix] + yo[iy], xo[ix] + yo[iy + 1]
+        k10, k11 = xo[ix + 1] + yo[iy], xo[ix + 1] + yo[iy + 1]
+        n = 0.0 + w00 * v[k00] + w01 * v[k01] + w10 * v[k10] + w11 * v[k11]
+        gx = 0.0 + w00 * v[k00 + 1] + w01 * v[k01 + 1] + w10 * v[k10 + 1]
+        gx = gx + w11 * v[k11 + 1]
+        gy = 0.0 + w00 * v[k00 + 2] + w01 * v[k01 + 2] + w10 * v[k10 + 2]
+        gy = gy + w11 * v[k11 + 2]
+        return gx / n, gy / n
 
     def grad_log_N(self, delta: np.ndarray) -> np.ndarray:
-        """d/d(delta) log N at a batch of displacements, shape (P, d)."""
-        delta = np.atleast_2d(delta)
-        if self.zero:
-            return np.zeros_like(delta)
-        g = self.grid
-        z = wrap(delta) * g
-        cell = np.floor(z)
-        lo = cell.astype(int) % g
-        # per corner bit: each axis's row offset and weight factor
-        rows = (lo * self.strides, (lo + 1) % g * self.strides)
-        frac = z - cell
-        weights = (1.0 - frac, frac)
-        out = 0.0
-        for corner in itertools.product((0, 1), repeat=self.d):
-            idx, w = rows[corner[0]][:, 0], weights[corner[0]][:, 0]
-            for c in range(1, self.d):
-                idx = idx + rows[corner[c]][:, c]
-                w = w * weights[corner[c]][:, c]
-            out = out + w[:, None] * self.table[idx]
-        return out[:, 1:] / out[:, :1]
+        """d/d(delta) log N at a batch of displacements, shape (P, 2)."""
+        rows = np.atleast_2d(delta).tolist()
+        return np.array([self.grad_log_at(x, y) for x, y in rows]).reshape(-1, 2)
 
 
 def pair_attraction(delta: np.ndarray, table: RateTable) -> np.ndarray:
@@ -522,7 +518,7 @@ def pair_separation_run(
     n_paths: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Coalescence times of the pair-separation diffusion, batch-vectorized.
+    """Coalescence times of the pair-separation diffusion in d = 2.
 
     The displacement W = Z_1 - Z_2 satisfies dW = sqrt(2) dB + 2 s(W) dt with
     s the displacement drift; integration stops when |W| < merge_radius.
@@ -531,41 +527,51 @@ def pair_separation_run(
     displacement is drawn from the exact pair law and added.  Paths still
     apart at SDE_T_MAX are censored there and report SDE_T_MAX.
 
-    The active set is kept compact: ``ids`` (path numbers, ascending), ``W``
-    and ``t`` hold only the paths still running and shrink by a boolean
-    mask when paths stop or expire.  Each step draws its normals once, one
-    row per active path in ascending path order.
+    Each step draws ``rng.normal(size=(P, 2))``, one row per running path
+    in ascending path order, moves each path in Python floats, and stops
+    the paths that end the step within the radius.  After the last step,
+    ``pair_residual_times`` draws from the same ``rng`` for the stopped
+    paths in ascending path order.  Every float operation is the one a
+    batched numpy step makes, in the same order (``r * r`` for ``r**2``),
+    so the times and the generator's final state are those of the batched
+    step, bit for bit.
     """
-    d = np.atleast_1d(delta0).size
-    field = PairDriftField(table, d)
-    ids = np.arange(n_paths)
-    W = np.tile(np.atleast_1d(delta0), (n_paths, 1)).astype(float)
-    t = np.zeros(n_paths)
+    field = PairDriftField(table, np.size(delta0))
+    x0, y0 = torus_displacement(np.ravel(delta0), 0.0).tolist()
+    r0 = math.sqrt(x0 * x0 + y0 * y0)
+    inside = r0 < merge_radius  # every path starts within the radius
+    # (path, time, x, y) of the stopped paths; (path, x, y, time, r) of the rest
+    stopped = [(i, 0.0, x0, y0) for i in range(n_paths)] if inside else []
+    running = [] if inside else [(i, x0, y0, 0.0, r0) for i in range(n_paths)]
+    while running:
+        noise = rng.normal(size=(len(running), 2)).tolist()
+        moved = []
+        for (i, x, y, t, r), (nx, ny) in zip(running, noise):
+            # shrink the step near the diagonal: drift ~ 1/r must stay resolved
+            h = SDE_STEP_CAP * (r * r)
+            if h > dt:
+                h = dt
+            t = t + h
+            if t >= SDE_T_MAX:
+                continue
+            gx, gy = field.grad_log_at(x, y)
+            s = math.sqrt(2.0 * h)
+            x = (x + 2.0 * gx * h + s * nx) % 1.0
+            y = (y + 2.0 * gy * h + s * ny) % 1.0
+            # the displacement x - round(x), for x in [0, 1]
+            x = x - 1.0 if x > 0.5 else x
+            y = y - 1.0 if y > 0.5 else y
+            r = math.sqrt(x * x + y * y)
+            if r < merge_radius:
+                stopped.append((i, t, x, y))
+            else:
+                moved.append((i, x, y, t, r))
+        running = moved
     out = np.full(n_paths, SDE_T_MAX)
-    stopped = np.full((n_paths, d), np.nan)
-    while ids.size:
-        W = torus_displacement(W, 0.0)
-        r = np.linalg.norm(W, axis=1)
-        done = r < merge_radius
-        if done.any():
-            out[ids[done]] = t[done]
-            stopped[ids[done]] = W[done]
-            run = ~done
-            ids, W, t, r = ids[run], W[run], t[run], r[run]
-            if not ids.size:
-                break
-        # shrink the step near the diagonal: drift ~ 1/r must stay resolved
-        dts = np.minimum(dt, SDE_STEP_CAP * r**2)
-        drift = 2.0 * field.grad_log_N(W)
-        noise = np.sqrt(2.0 * dts)[:, None] * rng.normal(size=W.shape)
-        W = wrap(W + drift * dts[:, None] + noise)
-        t = t + dts
-        run = t < SDE_T_MAX
-        if not run.all():
-            ids, W, t = ids[run], W[run], t[run]
-    hit = np.isfinite(stopped[:, 0])
-    if hit.any():
-        out[hit] += pair_residual_times(stopped[hit], table, rng)
+    if stopped:
+        ids, times, *xy = zip(*sorted(stopped))
+        deltas = np.column_stack(xy)
+        out[list(ids)] = np.array(times) + pair_residual_times(deltas, table, rng)
     return out
 
 

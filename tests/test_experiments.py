@@ -72,11 +72,29 @@ def test_series_are_long_format_with_one_index_per_value():
         report.series("c", [1.0, 2.0], [0])
 
 
-def test_spec_rejects_a_dimension_below_one(tmp_path):
+def test_spec_rejects_a_dimension_below_one():
     with pytest.raises(ValueError, match="dimension d must be >= 1"):
         ExperimentSpec(name="consistency", d=0)
-    with pytest.raises(ValueError, match="dimension d must be >= 1"):
-        main(["check", "consistency", "--dim", "0", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize(
+    "experiment, dim, message",
+    [
+        ("consistency", "0", "dimension d must be >= 1"),
+        ("drift-scaling", "1", "requires d >= 2"),
+    ],
+)
+def test_check_rejects_a_spec_before_writing(
+    tmp_path, capsys, experiment, dim, message
+):
+    # as a bad --method does: exit 2 with a usage line, and no --out left
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["check", experiment, "--dim", dim, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and message in err
+    assert not out.exists()
 
 
 def test_drift_scaling_rejects_one_dimension(tmp_path):
@@ -151,7 +169,7 @@ PINNED = {
     "sample-coalescent": (0, {
         "events.csv": "5d8e105a47047bf37de7da90909968371c7187bbb8f9ea712d0bd3f3fd188115",
         "samples.csv": "cc644f3c978e17f6f69e4cfad832bb286eb9a88d7049d29967a3faf1c88b5d57",
-        "trajectories.csv": "cbfdd1c04e13ab7764daae05bd5e8b888429e9424e298ef01c9b46504ec76402",
+        "trajectories.csv": "da0bed1133f9ac2138dda1e1df7ad1802134e54921b5b9fd9ceec3588129407b",
     }),
     "sample-coalescent-sir": (0, {
         "events.csv": "b801b79e1501fd1dfbc32e62b741d8b584549c8303443e1b8844cdf500fcd2e5",

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 import subprocess
 import sys
@@ -20,7 +21,12 @@ from spatialcoal.kernels import (
     torus_kernel,
     wrap,
 )
-from spatialcoal.forests import Forest
+from spatialcoal.forests import (
+    DecoratedForest,
+    Forest,
+    SpaceDecoration,
+    TimeDecoration,
+)
 from spatialcoal.measures import LambdaMeasure, build_rate_table
 from spatialcoal.partitions import Partition
 from spatialcoal.sampler import (
@@ -219,6 +225,48 @@ def test_pair_separation_run_matches_masked_loop():
     assert np.array_equal(got, want)
 
 
+def separation_run(delta0, seed):
+    """pair_separation_run at drift-scaling's step, merge radius and path
+    count, and the sha256 of its times and the generator's final state."""
+    rng = np.random.default_rng(seed)
+    out = pair_separation_run(np.array(delta0), KINGMAN2, 1e-4, 5e-3, 50, rng)
+    h = hashlib.sha256(out.tobytes())
+    h.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+    return out, h.hexdigest()
+
+
+# sha256 of drift-scaling's sde-pair-time-ks run per seed
+SEPARATION_DIGESTS = {
+    3: "fdd817b37eb8389aab4c20b5b003640e2e9ad36eec8cd9384f07b0e990cc1524",
+    5: "dc48fa8eaceedade77ced7b52b0a7129fa1d3c1e1d669d0848c75ba89fd79ae6",
+    11: "6f03fdb68a8dd73cef40df380481c785880209721c05e82af57f4b6ebf9ab763",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SEPARATION_DIGESTS))
+def test_pair_separation_run_stream_is_pinned(seed):
+    # every time and every draw of drift-scaling's SDE, bit for bit
+    assert separation_run((0.25, 0.1), seed)[1] == SEPARATION_DIGESTS[seed]
+
+
+def test_pair_separation_run_censors_paths_at_t_max(monkeypatch):
+    # near the merge radius some paths stop and some expire at SDE_T_MAX
+    monkeypatch.setattr("spatialcoal.sampler.SDE_T_MAX", 0.02)
+    out, digest = separation_run((0.05, 0.02), 3)
+    assert 0 < np.sum(out == 0.02) < out.size
+    assert np.all(out[out != 0.02] > 0.0)
+    assert digest == "46c0b4060b82bdd1f902d06579322a5aa458b59fbad1cbc92c4bb29aba44204b"
+
+
+def test_pair_drift_field_is_two_dimensional():
+    with pytest.raises(ValueError, match="d = 2"):
+        PairDriftField(KINGMAN2, d=1)
+    with pytest.raises(ValueError, match="d = 2"):
+        pair_separation_run(
+            np.array([0.25]), KINGMAN2, 1e-4, 5e-3, 4, np.random.default_rng(0)
+        )
+
+
 def test_exact_sampler_merge_times_match_pair_law():
     delta = 0.25
     x = SpatialConfig.from_points([[0.1], [0.1 + delta]])
@@ -273,6 +321,30 @@ def test_sample_paths_endpoints_and_wrap():
     assert cp.partition_at(horizon).blocks == (frozenset({1, 2}),)
     with pytest.raises(ValueError):
         sample_paths(df, x, df.tau.times[-1] - 1e-9, grid_dt=0.01, rng=rng)
+
+
+def test_sample_paths_grids_stop_at_their_end_times():
+    # np.arange(0.3 + 0.01, 0.38, 0.01) on the cherry's branch and
+    # np.arange(0.38 + 0.01, 0.46, 0.01) on the root each end past their
+    # stop by rounding
+    cherry, root = frozenset({1, 2}), frozenset({1, 2, 3})
+    f = Forest(
+        (
+            Partition.singletons([1, 2, 3]),
+            Partition([cherry, {3}]),
+            Partition([root]),
+        )
+    )
+    xi = SpaceDecoration({cherry: np.array([0.15]), root: np.array([0.4])})
+    df = DecoratedForest(f, TimeDecoration((0.3, 0.38)), xi)
+    x = SpatialConfig.from_points([[0.1], [0.2], [0.6]])
+    cp = sample_paths(df, x, 0.46, grid_dt=0.01, rng=np.random.default_rng(0))
+    for u, (times, pos) in cp.paths.items():
+        end = 0.46 if u == root else df.tau.birth_time(f, f.parent(u))
+        assert times[0] == df.tau.birth_time(f, u)
+        assert times[-1] == end
+        assert np.all(np.diff(times) >= 0.0)
+        assert np.all(np.isfinite(pos))
 
 
 def test_sir_matches_exact_on_merge_times():
