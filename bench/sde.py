@@ -11,8 +11,9 @@ runs ``pair_separation_run`` as ``check drift-scaling --dim 2`` does under
 Kingman (start (0.25, 0.1), dt = 1e-4, merge radius 5e-3, 50 paths), once
 untimed to warm up and then CALLS times on generator seed SEED, and records:
 
-- run_ms: the least wall time of those calls, drift table and residual
-  merge times included;
+- run_ms: the least wall time of those calls, residual merge times
+  included, and the drift table too on a tree that builds it per call (a
+  tree that caches it per pair of rates builds it in the warm-up);
 - us_per_step / us_per_row: run_ms over the Euler steps of the run, and
   over its drift rows (one row per running path and step).
 

@@ -48,8 +48,9 @@ from .normalization import (
 from .partitions import MergerSignature, Partition
 from .reversal import simulate_reversal
 from .sampler import (
+    DRIFT_GRID,
     ExactCoalescentSampler,
-    pair_attraction,
+    PairDriftField,
     pair_residual_times,
     pair_separation_run,
     sample_paths,
@@ -434,28 +435,21 @@ def _run_drift_scaling(spec: ExperimentSpec) -> TestReport:
         u = x.partition.blocks[0]
         scale = max(np.linalg.norm(g) for g in grads.values())
         for c in range(d):
-            plus = pts.copy()
-            plus[0, c] += h
-            minus = pts.copy()
-            minus[0, c] -= h
-            fd = (
-                math.log(
-                    normalization_N_spectral(SpatialConfig.from_points(plus), table)
-                )
-                - math.log(
-                    normalization_N_spectral(SpatialConfig.from_points(minus), table)
-                )
-            ) / (2.0 * h)
+            step = np.zeros_like(pts)
+            step[0, c] = h
+            plus, minus = (
+                math.log(normalization_N_spectral(SpatialConfig.from_points(p), table))
+                for p in (pts + step, pts - step)
+            )
+            fd = (plus - minus) / (2.0 * h)
             worst = max(worst, abs(fd - grads[u][c]) / max(scale, 1e-12))
     report.results.append(TestResult("gradient-vs-fd", worst, 1e-3))
-    # attraction magnitude slope in d = 2
-    rs = np.geomspace(0.02, 0.1, 8)
-    mags = np.array(
-        [
-            np.linalg.norm(pair_attraction(np.array([r, 0.0]), table))
-            for r in rs
-        ]
-    )
+    # attraction magnitude slope: |grad N| at nodes on the first axis of the
+    # d = 2 drift table, which the SDE below steps with whatever d is
+    nodes = np.round(np.geomspace(0.02, 0.1, 8) * DRIFT_GRID).astype(int)
+    rs = nodes / DRIFT_GRID
+    field = PairDriftField(table, 2)
+    mags = np.linalg.norm(field.table[nodes * DRIFT_GRID, 1:], axis=1)
     slope, _ = fit_loglog_slope(rs, mags)
     report.results.append(TestResult("pair-drift-slope", abs(slope + 1.0), 0.15))
     report.series("attraction", mags, rs)

@@ -20,6 +20,7 @@ import numpy as np
 from .measures import LambdaMeasure, RateTable, XiMeasure, lambda_to_xi
 from .partitions import MergerSignature, Partition, signatures_for
 from .sampler import CoalescentPath
+from .stats import _cdf, _choose
 
 
 @dataclass
@@ -179,21 +180,6 @@ def _below(rng: np.random.Generator, n: int) -> int:
         while m & 0xFFFFFFFF < threshold:
             m = bits.next_uint32(bits.state) * n
     return m >> 32
-
-
-def _cdf(p: np.ndarray) -> np.ndarray:
-    """The CDF that ``Generator.choice`` builds from probabilities ``p``."""
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
-    return cdf
-
-
-def _choose(rng: np.random.Generator, cdf: np.ndarray, size: int | None = None):
-    """``rng.choice(cdf.size, size, p=p)`` for ``cdf = _cdf(p)``: numpy's own
-    steps (one uniform per index, a right-side search of the CDF, one draw
-    even for a single entry), so the same indices and the same stream,
-    without rebuilding and checking the CDF on every call."""
-    return cdf.searchsorted(rng.random(size), side="right")
 
 
 def _cannings_groups(

@@ -21,6 +21,7 @@ from .partitions import (
     merger_signature,
     signatures_for,
 )
+from .stats import _cdf, _choose
 
 CONSISTENCY_TOL = 1e-10  # relative, for the subsampling recursion
 
@@ -161,7 +162,7 @@ class RateTable:
     n_max: int
 
     def __post_init__(self) -> None:
-        # read-only, so the totals summed here cannot go stale
+        # read-only, so the totals and the jump CDFs cached here stay valid
         self.rates = MappingProxyType(dict(self.rates))
         self._totals = {
             n: sum(
@@ -170,6 +171,7 @@ class RateTable:
             )
             for n in range(2, self.n_max + 1)
         }
+        self._jumps: dict[Partition, tuple[list[Partition], np.ndarray]] = {}
 
     def rate(self, sig: MergerSignature) -> float:
         return self.rates.get(sig, 0.0)
@@ -193,6 +195,14 @@ class RateTable:
 
     def is_absorbing(self, p: Partition) -> bool:
         return self.total(len(p)) == 0.0
+
+    def jumps(self, p: Partition) -> tuple[list[Partition], np.ndarray]:
+        """The coarsenings of ``p`` and the jump chain's CDF over them."""
+        if p not in self._jumps:
+            coarsenings = enumerate_coarsenings(p)
+            weights = np.array([self.transition_rate(p, q) for q in coarsenings])
+            self._jumps[p] = coarsenings, _cdf(weights / weights.sum())
+        return self._jumps[p]
 
 
 def build_rate_table(spec: LambdaMeasure | XiMeasure, n_max: int) -> RateTable:
@@ -257,24 +267,15 @@ def sample_nonspatial_path(
     """Exact sample of the non-spatial coalescent started from ``p0``.
 
     Holding times are exponential with the total rate, the jump chain picks a
-    coarsening proportionally to its rate.  Runs until an absorbing state.
+    coarsening proportionally to its rate (``t.jumps``).  Runs until an
+    absorbing state.
     """
-    levels = [p0]
-    times: list[float] = []
-    clock = 0.0
-    current = p0
-    while True:
-        lam = t.total(len(current))
-        if lam <= 0.0:
-            break
-        coarsenings = enumerate_coarsenings(current)
-        weights = np.array([t.transition_rate(current, q) for q in coarsenings])
-        total = weights.sum()
+    levels, times, clock = [p0], [], 0.0
+    while (lam := t.total(len(levels[-1]))) > 0.0:
+        coarsenings, cdf = t.jumps(levels[-1])
         clock += rng.exponential(1.0 / lam)
-        q = coarsenings[rng.choice(len(coarsenings), p=weights / total)]
-        levels.append(q)
+        levels.append(coarsenings[_choose(rng, cdf)])
         times.append(clock)
-        current = q
     return Forest(tuple(levels)), TimeDecoration(tuple(times))
 
 

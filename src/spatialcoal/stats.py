@@ -246,3 +246,18 @@ def spawn_rngs(seed: int, k: int) -> list[np.random.Generator]:
         np.random.Generator(np.random.Philox(child))
         for child in root_sequence(seed).spawn(k)
     ]
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF that ``Generator.choice`` builds from probabilities ``p``."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _choose(rng: np.random.Generator, cdf: np.ndarray, size: int | None = None):
+    """``rng.choice(cdf.size, size, p=p)`` for ``cdf = _cdf(p)``: numpy's own
+    steps (one uniform per index, a right-side search of the CDF, one draw
+    even for a single entry), so the same indices and the same stream,
+    without rebuilding and checking the CDF on every call."""
+    return cdf.searchsorted(rng.random(size), side="right")

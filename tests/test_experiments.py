@@ -140,8 +140,8 @@ PINNED = {
         "samples.csv": "4b8a510042f63a756e19f1dca73a096b417959ac46442278e1889c84dbc77890",
     }),
     "check-drift-scaling": (0, {
-        "report.json": "9b8798c6221e57f3843c67ebbc039f2d22ab2d1790427b0d7104caeefe17439d",
-        "samples.csv": "761b5536138a2310c6306cb4e989ec341fa540751a4c8d2cd029ed75d31a74e3",
+        "report.json": "6c78017b608ad835ef5bdbf847e45c2fa77ecb2fb34262bbdf56b3d7578e3f48",
+        "samples.csv": "35b9aca67eaf7d6c9b3b4e609603ea0db32f79a53c4ed12f3d88b44ac7496f15",
     }),
     "check-consistency-d1": (0, {
         "report.json": "402e8d88149677ddfd560ccc71d4f550104a91802abcdcabe3f0f05048aa55b0",

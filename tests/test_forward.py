@@ -13,8 +13,6 @@ from spatialcoal.forward import (
     ForwardHarvester,
     _below,
     _cannings_groups,
-    _cdf,
-    _choose,
     OffspringLaw,
     cannings_p_rates,
     cannings_rate_table,
@@ -37,6 +35,7 @@ from spatialcoal.partitions import (
     count_mergers,
     signatures_for,
 )
+from spatialcoal.stats import _cdf, _choose
 
 
 def test_offspring_law_validation():

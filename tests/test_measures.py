@@ -1,6 +1,8 @@
 """Merger rates from Lambda and Xi measures, consistency, and the
 non-spatial coalescent."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -158,6 +160,43 @@ def test_nonspatial_path_holding_times():
     # exponential(3) first holding time: mean 1/3, sd 1/3
     z = (firsts.mean() - 1.0 / 3.0) / (firsts.std(ddof=1) / math.sqrt(firsts.size))
     assert abs(z) < 3.5
+
+
+def _nonspatial_digest(table, seed, paths=300):
+    """sha256 over the forests and times of ``paths`` draws from four
+    singletons, and the generator's final state."""
+    rng = np.random.default_rng(seed)
+    p0 = Partition.singletons([1, 2, 3, 4])
+    h = hashlib.sha256()
+    for _ in range(paths):
+        f, tau = sample_nonspatial_path(table, p0, rng)
+        levels = [sorted(sorted(b) for b in lv.blocks) for lv in f.levels]
+        h.update(repr(levels).encode())
+        h.update(np.array(tau.times).tobytes())
+    h.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+# captured before the jump chain drew from cached CDFs: the draws and the
+# stream must be those of rng.choice(p=) on freshly built weights
+NONSPATIAL_DIGESTS = {
+    ("kingman", 1): "3f04827cd3c042de4a4e148199e908a9a4648379efb6d2cddc539d5bf4c49d4c",
+    ("kingman", 2): "a3eca0cd77af313c1673cffebdea310e03359c81d2f8182db354ac7633792ed8",
+    ("kingman", 3): "ca2587d4c8cde4a8096559968bfb635ec6e98ffe3773b3cfbcb06722d115a1aa",
+    ("xi", 1): "bbae6792ee09827d48b63e372da8e24be6a89ea21720184ae08fd70995489ca6",
+    ("xi", 2): "7afe08256fa95bebafd95acf044340a0cc8ba79ca1bbcf6d7ed3122dd48fd23a",
+    ("xi", 3): "b101b0b12205c5ad214c24d73ee5ce0c583a222ef16a4d97598eb4e63ccdf60a",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(NONSPATIAL_DIGESTS))
+def test_nonspatial_path_stream_is_pinned(name, seed):
+    measure = {
+        "kingman": LambdaMeasure.kingman(),
+        "xi": XiMeasure(kingman_mass=0.5, atoms=(((0.5, 0.3), 1.0),)),
+    }[name]
+    table = build_rate_table(measure, 4)
+    assert _nonspatial_digest(table, seed) == NONSPATIAL_DIGESTS[name, seed]
 
 
 def ftm_density(t: RateTable, f: Forest, tau: TimeDecoration) -> float:
