@@ -25,7 +25,7 @@ from .measures import (
 from .normalization import normalization_N, sample_mu
 from .partitions import MergerSignature, Partition, count_mergers
 from .reversal import resample_levels, simulate_reversal
-from .sampler import ExactCoalescentSampler, sde_sample
+from .sampler import ExactCoalescentSampler
 from .stats import ks_two_sample
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from .measures import (
     check_consistency,
     measure_to_dict,
 )
-from .normalization import normalization_N, normalization_N_spectral
+from .normalization import normalization_N
 from .partitions import signatures_for
 from .reversal import simulate_reversal
 from .sampler import ExactCoalescentSampler, sample_paths, sir_sample
@@ -75,11 +75,12 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output directory")
 
 
-# --method of the subcommands that take one.  auto is normalization_N's
-# own choice (the Gauss rule up to two merge events, Monte Carlo beyond)
-# and the exact sampler of sample-coalescent.
+# --method of the subcommands that take one.  For normalization, auto is
+# normalization_N's Gauss rule up to two merge events and Monte Carlo
+# beyond, and monte-carlo is Monte Carlo for every forest; for
+# sample-coalescent, auto is the exact sampler.
 METHOD_CHOICES = {
-    "normalization": ("auto", "spectral", "quadrature", "monte-carlo"),
+    "normalization": ("auto", "monte-carlo"),
     "sample-coalescent": ("auto", "sir"),
 }
 
@@ -111,22 +112,16 @@ def cmd_normalization(args) -> int:
     pts = _points_from(cfg, args)
     table = build_rate_table(measure, max(len(pts), 2))
     x = SpatialConfig.from_points(pts)
-    if args.method == "spectral":
-        value = normalization_N_spectral(x, table)
-        err = 0.0
-        method = "spectral"
-    else:
-        est = normalization_N(x, table, method=args.method, rng=make_rng(args.seed))
-        value, err, method = est.value, est.std_error, est.method
+    est = normalization_N(x, table, method=args.method, rng=make_rng(args.seed))
     out = _out_dir(args)
     payload = {
         "points": [list(map(float, p)) for p in pts],
-        "value": value,
-        "std_error": err,
-        "method": method,
+        "value": est.value,
+        "std_error": est.std_error,
+        "method": est.method,
     }
     write_json(out / "report.json", payload)
-    print(f"N = {value:.12g} (method {method})")
+    print(f"N = {est.value:.12g} (method {est.method})")
     return 0
 
 

@@ -31,10 +31,6 @@ def torus_displacement(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d - np.round(d)
 
 
-def torus_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(torus_displacement(a, b)))
-
-
 def _kernel_1d(t, x) -> np.ndarray:
     """Wrapped 1-d heat kernel, vectorized over t and x, which broadcast.
 
@@ -217,16 +213,6 @@ class SpatialConfig:
     def as_matrix(self) -> np.ndarray:
         """Positions stacked in canonical block order, shape (n, d)."""
         return np.stack([self.positions[b] for b in self.partition.blocks])
-
-    def min_separation(self) -> float:
-        blocks = self.partition.blocks
-        if len(blocks) < 2:
-            return math.inf
-        return min(
-            torus_distance(self.positions[blocks[i]], self.positions[blocks[j]])
-            for i in range(len(blocks))
-            for j in range(i + 1, len(blocks))
-        )
 
     @classmethod
     def from_points(cls, points, labels=None) -> "SpatialConfig":

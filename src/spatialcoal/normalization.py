@@ -468,11 +468,13 @@ def normalization_N(
     (the non-spatial density is exactly the required weight).  Either way
     the tree integrals of a forest go to ``_contract`` as one batch.  With
     ``integrate_out``, that leaf's position is integrated over the torus.
-    ``method`` is "auto" or "quadrature" (the Gauss rule where it applies)
-    or "monte-carlo" (Monte Carlo for every forest).
+    ``method`` is "auto" (the Gauss rule where it applies) or "monte-carlo"
+    (Monte Carlo for every forest).
     """
-    if method not in ("auto", "quadrature", "monte-carlo"):
-        raise ValueError(f"unknown normalization method {method!r}")
+    if method not in ("auto", "monte-carlo"):
+        raise ValueError(
+            f"unknown normalization method {method!r}: use 'auto' or 'monte-carlo'"
+        )
     forests = enumerate_forests(x.partition, table.is_absorbing)
     per_forest: dict[Forest, tuple[float, float]] = {}
     mc_forests = []

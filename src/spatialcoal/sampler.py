@@ -2,8 +2,8 @@
 
 Three layers: exact sampling of the decorated forest (shape, merge times,
 merge locations), Brownian-bridge filling of full lineage paths, and the
-approximate drift-SDE sampler whose lineages attract each other through
-the gradient of the log-normalization.
+pair-separation drift SDE in d = 2, whose two lineages attract each other
+through the gradient of the log-normalization.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .normalization import (
     _contract_grid,
     _forest_rates,
     _spectral_sum,
-    grad_log_N_spectral,
     spatial_integral_g_batch,
 )
 from .partitions import MergerSignature, Partition
@@ -363,7 +362,7 @@ def sample_paths(
     )
 
 
-# -- Drift-SDE sampler -------------------------------------------------------
+# -- The d = 2 pair drift SDE ------------------------------------------------
 
 
 @functools.lru_cache(maxsize=4)
@@ -575,101 +574,3 @@ def pair_separation_run(
         out[list(ids)] = np.array(times) + pair_residual_times(deltas, table, rng)
     return out
 
-
-def sde_sample(
-    x: SpatialConfig,
-    table: RateTable,
-    dt: float,
-    merge_radius: float,
-    rng: np.random.Generator,
-    t_max: float = SDE_T_MAX,
-) -> CoalescentPath:
-    """Euler-Maruyama integration of the drift SDE with radius merging.
-
-    Lineages follow dZ = dB + grad log N(Z) dt; when a group's diameter
-    drops below ``merge_radius`` the group merges at its mean position and
-    the reduced system restarts.  Only meaningful in d >= 2, where binary
-    collisions of the ideal dynamics happen at the blow-up of the drift.
-    The drift is ``grad_log_N_spectral`` at cutoff 24, one spectral sum per
-    forest per step; in d = 2 that truncated sum of grad N does not converge
-    along an axis, where a pair's drift is 50% off at cutoffs 24 and 64.  No
-    ``check`` experiment runs this sampler yet.
-    """
-    if x.d < 2:
-        raise ValueError("the drift-SDE construction requires d >= 2")
-    if x.min_separation() <= merge_radius:
-        raise ValueError("initial positions closer than the merge radius")
-    part = x.partition
-    positions = dict(x.positions)
-    t = 0.0
-    events = []
-    history: dict[Node, list[tuple[float, np.ndarray]]] = {
-        u: [(0.0, positions[u])] for u in part.blocks
-    }
-    while len(part) > 1 and not table.is_absorbing(part) and t < t_max:
-        cfg = SpatialConfig(part, positions)
-        r = cfg.min_separation()
-        dte = min(dt, max(0.1 * r * r, 1e-8))
-        if dte < 1e-12:
-            raise ArithmeticError(f"step size underflow at {cfg}")
-        grads = grad_log_N_spectral(cfg, table, cutoff=24)
-        new_pos = {}
-        for u in part.blocks:
-            step = grads[u] * dte + math.sqrt(dte) * rng.normal(size=x.d)
-            new_pos[u] = wrap(positions[u] + step)
-        positions = new_pos
-        t += dte
-        for u in part.blocks:
-            history[u].append((t, positions[u]))
-        groups = _radius_groups(part, positions, merge_radius)
-        if groups:
-            merged_locs = {}
-            merge = []
-            for grp in groups:
-                target = frozenset().union(*grp)
-                mean = _torus_mean([positions[u] for u in grp])
-                merged_locs[target] = mean
-                merge.append(grp)
-            part = part.merge(merge)
-            for v, loc in merged_locs.items():
-                positions[v] = loc
-                history[v] = [(t, loc)]
-            positions = {u: positions[u] for u in part.blocks}
-            events.append((t, part, merged_locs))
-    paths = {
-        u: (np.array([tt for tt, _ in h]), np.array([p for _, p in h]))
-        for u, h in history.items()
-    }
-    return CoalescentPath(
-        events=events,
-        paths=paths,
-        meta={"initial_partition": x.partition, "method": "sde", "dt": dt},
-    )
-
-
-def _radius_groups(part: Partition, positions, radius: float):
-    """Single-linkage groups of blocks with pairwise distance below radius."""
-    blocks = list(part.blocks)
-    parent = list(range(len(blocks)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            dz = torus_displacement(positions[blocks[i]], positions[blocks[j]])
-            if float(np.linalg.norm(dz)) < radius:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[Node]] = {}
-    for i, b in enumerate(blocks):
-        groups.setdefault(find(i), []).append(b)
-    return [g for g in groups.values() if len(g) >= 2]
-
-
-def _torus_mean(points) -> np.ndarray:
-    ref = points[0]
-    offs = [torus_displacement(p, ref) for p in points]
-    return wrap(ref + np.mean(offs, axis=0))

@@ -78,19 +78,37 @@ def test_spec_rejects_a_dimension_below_one():
 
 
 @pytest.mark.parametrize(
-    "experiment, dim, message",
+    "experiment, dim, n, message",
     [
-        ("consistency", "0", "dimension d must be >= 1"),
-        ("drift-scaling", "1", "requires d >= 2"),
+        pytest.param(
+            "consistency", "0", "2", "dimension d must be >= 1",
+            id="consistency-0-dimension d must be >= 1",
+        ),
+        pytest.param(
+            "drift-scaling", "1", "2", "requires d >= 2",
+            id="drift-scaling-1-requires d >= 2",
+        ),
+        # the cells an experiment cannot honour yet: each would end in a
+        # traceback, or pass on a fixed cell other than the one asked for
+        ("drift-scaling", "3", "2", "d = 2 only"),
+        ("duality", "2", "2", "d = 1 only"),
+        ("duality", "3", "3", "d = 1 only"),
+        ("duality", "1", "4", "n <= 3"),
+        ("consistency", "3", "2", "d <= 2 only"),
+        ("reversal-stationarity", "2", "2", "d = 1 only"),
+        ("reversal-stationarity", "3", "3", "d = 1 only"),
+        ("reversal-stationarity", "1", "4", "n <= 3"),
+        ("markov-resample", "2", "3", "d = 1 only"),
+        ("markov-resample", "3", "3", "d = 1 only"),
     ],
 )
 def test_check_rejects_a_spec_before_writing(
-    tmp_path, capsys, experiment, dim, message
+    tmp_path, capsys, experiment, dim, n, message
 ):
     # as a bad --method does: exit 2 with a usage line, and no --out left
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(["check", experiment, "--dim", dim, "--out", str(out)])
+        main(["check", experiment, "--dim", dim, "--n", n, "--out", str(out)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: ") and message in err

@@ -189,6 +189,3 @@ def test_spatial_config_queries():
     assert x.n == 3
     assert x.d == 1
     assert x.as_matrix().shape == (3, 1)
-    assert x.min_separation() == pytest.approx(0.15)
-    single = SpatialConfig.from_points([[0.5]])
-    assert math.isinf(single.min_separation())

@@ -202,6 +202,9 @@ def test_normalization_rejects_unknown_method():
     x = SpatialConfig.from_points([[0.1], [0.4]])
     with pytest.raises(ValueError, match="quadratur"):
         normalization_N(x, KINGMAN2, method="quadratur")
+    # the Gauss rule is what auto takes, so it is no method of its own
+    with pytest.raises(ValueError, match="'auto' or 'monte-carlo'"):
+        normalization_N(x, KINGMAN2, method="quadrature")
 
 
 def test_pair_normalization_quadrature_vs_spectral():

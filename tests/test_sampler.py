@@ -42,7 +42,6 @@ from spatialcoal.sampler import (
     pair_residual_times,
     pair_separation_run,
     sample_paths,
-    sde_sample,
     sir_sample,
 )
 from spatialcoal.stats import ks_against_cdf, ks_two_sample
@@ -167,7 +166,7 @@ def test_pair_drift_table_blows_up_like_inverse_r():
     "at cutoff 64 it is 0.506, 0.500 and 0.009 off at these displacements",
 )
 def test_spectral_pair_gradient_matches_image_sum():
-    # grad_log_N_spectral is sde_sample's drift; 1e-3 is gradient-vs-fd's gate
+    # grad_log_N_spectral is gradient-vs-fd's gradient; 1e-3 is that check's gate
     for delta in ([0.3, 0.0], [0.1, 0.0], [0.25, 0.1]):
         x = SpatialConfig.from_points([[0.2, 0.3], [0.2 + delta[0], 0.3 + delta[1]]])
         got = grad_log_N_spectral(x, KINGMAN2, cutoff=64)[x.partition.blocks[1]]
@@ -437,23 +436,6 @@ def test_pair_drift_field_over_budget_fails_fast():
     with pytest.raises(ValueError, match="over the budget"):
         PairDriftField(KINGMAN2, d=3)
     assert time.perf_counter() - t0 < 0.5
-
-
-def test_sde_sample_merges_and_validates():
-    x = SpatialConfig.from_points([[0.3, 0.3], [0.36, 0.3]])
-    rng = np.random.default_rng(7)
-    cp = sde_sample(x, KINGMAN2, dt=5e-4, merge_radius=2e-2, rng=rng, t_max=30.0)
-    assert len(cp.events) == 1
-    with pytest.raises(ValueError):
-        sde_sample(SpatialConfig.from_points([[0.1], [0.5]]), KINGMAN2, 1e-3, 1e-2, rng)
-    with pytest.raises(ValueError):
-        sde_sample(
-            SpatialConfig.from_points([[0.3, 0.3], [0.301, 0.3]]),
-            KINGMAN2,
-            1e-3,
-            1e-2,
-            rng,
-        )
 
 
 def test_exact_sampler_rejects_table_too_small():

@@ -261,9 +261,12 @@ def test_cli_method_only_where_read(tmp_path):
     assert exc.value.code == 2
 
 
-def test_cli_normalization_rejects_unknown_method(tmp_path):
+@pytest.mark.parametrize("method", ["foo", "spectral", "quadrature"])
+def test_cli_normalization_rejects_unknown_method(tmp_path, method):
+    # spectral (a second route to N) and quadrature (the Gauss rule that
+    # auto takes) are no choice of the command
     with pytest.raises(SystemExit) as exc:
-        main(["normalization", "--n", "2", "--method", "foo", "--out", str(tmp_path)])
+        main(["normalization", "--n", "2", "--method", method, "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert not (tmp_path / "report.json").exists()
 
